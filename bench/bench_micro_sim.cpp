@@ -1,11 +1,10 @@
 // Micro-benchmarks for the simulator substrate: LU solves, DC operating
-// points, AC sweeps, and full problem evaluations — plus the simulation
-// kernel comparisons the CI bench-smoke step archives as JSON: the legacy
-// dense kernel vs the pattern-cached sparse kernel (cold) vs the sparse
-// kernel with env-style warm-started Newton, over repeated characterization
-// of a fixed topology (exactly the RL trajectory workload). Not a paper
-// experiment — these bound the wall-clock of everything else (one RL
-// environment step is one full evaluation).
+// points, AC sweeps, and full problem evaluations — plus the
+// characterization comparisons the CI bench-smoke step archives as JSON:
+// cold vs env-style warm-started Newton over repeated characterization of a
+// fixed topology (exactly the RL trajectory workload), and K-lane batches.
+// Not a paper experiment — these bound the wall-clock of everything else
+// (one RL environment step is one full evaluation).
 //
 // JSON: pass --benchmark_out=<file> --benchmark_out_format=json (what CI's
 // bench-smoke step does).
@@ -62,30 +61,25 @@ static void BM_TwoStageDcOp(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoStageDcOp);
 
-// ---- dense vs sparse vs warm-started sparse kernel --------------------------
+// ---- cold vs warm-started characterization ----------------------------------
 // Repeated characterization of a FIXED topology with a slowly walking width
-// — the RL rollout workload. Dense rebuilds and re-pivots everything per
-// evaluation; the sparse kernel reuses one symbolic factorization per
-// topology; the warm variant additionally seeds Newton with the previous
-// design's operating point, like a SizingEnv step does. The acceptance bar
-// for the kernel refactor is sparse-warm >= 2x dense on the two-stage.
+// — the RL rollout workload. Both variants reuse one symbolic factorization
+// per topology; the warm one additionally seeds Newton with the previous
+// design's operating point, like a SizingEnv step does.
 
 namespace {
 
-enum class KernelMode { Dense, SparseCold, SparseWarm };
-
 template <typename Params, typename Build, typename Sim>
-void repeated_characterization(benchmark::State& state, KernelMode mode,
-                               Params params, Build&& perturb, Sim&& sim) {
+void repeated_characterization(benchmark::State& state, Params params,
+                               Build&& perturb, Sim&& sim) {
+  const bool warm = state.range(0) != 0;
   eval::OpHint hint;
   int i = 0;
   for (auto _ : state) {
     Params p = params;
     perturb(p, i++);
     typename std::remove_reference_t<Sim>::Options opt;
-    opt.kernel = mode == KernelMode::Dense ? spice::SimKernel::Dense
-                                           : spice::SimKernel::Sparse;
-    opt.hint = mode == KernelMode::SparseWarm ? &hint : nullptr;
+    opt.hint = warm ? &hint : nullptr;
     benchmark::DoNotOptimize(sim.run(p, opt));
   }
 }
@@ -106,39 +100,31 @@ struct TiaSim {
   }
 };
 
-KernelMode mode_of(const benchmark::State& state) {
-  switch (state.range(0)) {
-    case 0: return KernelMode::Dense;
-    case 1: return KernelMode::SparseCold;
-    default: return KernelMode::SparseWarm;
-  }
-}
-
 }  // namespace
 
-/// Arg 0: 0 = dense kernel, 1 = sparse cold-start, 2 = sparse warm-start.
+/// Arg 0: 0 = cold start, 1 = warm start.
 static void BM_TwoStageCharacterize_Kernel(benchmark::State& state) {
   repeated_characterization(
-      state, mode_of(state), circuits::TwoStageParams{},
+      state, circuits::TwoStageParams{},
       [](circuits::TwoStageParams& p, int i) {
         p.w12 = (10.0 + 0.25 * (i % 8)) * 1e-6;  // +-1-grid-step walk
       },
       TwoStageSim{});
 }
-BENCHMARK(BM_TwoStageCharacterize_Kernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TwoStageCharacterize_Kernel)->Arg(0)->Arg(1);
 
 static void BM_TiaCharacterize_Kernel(benchmark::State& state) {
   repeated_characterization(
-      state, mode_of(state), circuits::TiaParams{},
+      state, circuits::TiaParams{},
       [](circuits::TiaParams& p, int i) { p.mn = 8 + (i % 4); },
       TiaSim{});
 }
-BENCHMARK(BM_TiaCharacterize_Kernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TiaCharacterize_Kernel)->Arg(0)->Arg(1);
 
 // ---- batched characterization: K lanes through SparseLuNumericBatch --------
-// Items/sec counts DESIGNS, so these read directly against the scalar
-// sparse-warm rows above: the batch win is the items/sec ratio. Arg is the
-// lane count.
+// Items/sec counts DESIGNS, so these read directly against the one-lane
+// warm rows above: the batch win is the items/sec ratio. Arg is the lane
+// count.
 
 static void BM_TwoStageCharacterize_Batch(benchmark::State& state) {
   const int lanes = static_cast<int>(state.range(0));

@@ -1,11 +1,10 @@
 // Micro-benchmarks for the vectorized rollout engine: environment steps per
 // second for one serial SizingEnv versus a VectorSizingEnv at 1/4/16/64
-// lockstep lanes, over the two backend stacks that matter on the training
-// hot path — the sharded memo cache (repeat visits are free) and the
-// thread-pool fan-out (fresh points simulate concurrently). Every vector
-// tick is one batched policy forward (Mlp::forward_batch) plus one
-// evaluate_batch(), which is exactly what PPO collection and deployment now
-// pay per step.
+// lockstep lanes, with and without the sharded memo cache (repeat visits
+// are free; without it every fresh point runs as a lane of the simulation
+// pipeline). Every vector tick is one batched policy forward
+// (Mlp::forward_batch) plus one evaluate_batch(), which is exactly what PPO
+// collection and deployment now pay per step.
 
 #include <benchmark/benchmark.h>
 
@@ -21,19 +20,11 @@ using namespace autockt;
 
 namespace {
 
-enum class Stack { Cached, ThreadPool, ScalarKernel };
+enum class Stack { Cached, Uncached };
 
 std::shared_ptr<const circuits::SizingProblem> tia(Stack stack) {
   circuits::ProblemOptions options;
-  if (stack == Stack::ThreadPool) {
-    options.cache = false;  // isolate fan-out gain from cache effects
-  } else if (stack == Stack::ScalarKernel) {
-    // The A/B reference for the batched numeric kernel: same stack as
-    // ThreadPool but evaluate_batch() loops the scalar simulator instead
-    // of running lanes through SparseLuNumericBatch.
-    options.cache = false;
-    options.batch_kernel = false;
-  }
+  options.cache = stack == Stack::Cached;
   return std::make_shared<const circuits::SizingProblem>(
       circuits::make_tia_problem(options));
 }
@@ -76,7 +67,7 @@ static void BM_SerialEnvSteps(benchmark::State& state, Stack stack) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_SerialEnvSteps, cached, Stack::Cached);
-BENCHMARK_CAPTURE(BM_SerialEnvSteps, pool, Stack::ThreadPool);
+BENCHMARK_CAPTURE(BM_SerialEnvSteps, uncached, Stack::Uncached);
 
 // ---- vectorized: N lanes, batched forward, one evaluate_batch per tick -----
 
@@ -124,12 +115,7 @@ BENCHMARK_CAPTURE(BM_VectorEnvSteps, cached, Stack::Cached)
     ->Arg(4)
     ->Arg(16)
     ->Arg(64);
-BENCHMARK_CAPTURE(BM_VectorEnvSteps, pool, Stack::ThreadPool)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64);
-BENCHMARK_CAPTURE(BM_VectorEnvSteps, scalar_kernel, Stack::ScalarKernel)
+BENCHMARK_CAPTURE(BM_VectorEnvSteps, uncached, Stack::Uncached)
     ->Arg(1)
     ->Arg(4)
     ->Arg(16)

@@ -112,13 +112,10 @@ double run_calibration() {
   return time_bench("calibration", 2000, body).ns_per_op;
 }
 
-enum class KernelMode { Dense, SparseCold, SparseWarm };
-
 /// Repeated characterization of a fixed topology with a walking parameter —
 /// the RL trajectory workload, same shape as bench_micro_sim's
-/// repeated_characterization (dense rebuild vs sparse pattern reuse vs
-/// warm-started Newton).
-BenchRow two_stage_characterize(const std::string& name, KernelMode mode,
+/// repeated_characterization (cold vs warm-started Newton).
+BenchRow two_stage_characterize(const std::string& name, bool warm,
                                 int reps) {
   const auto card = spice::TechCard::ptm45();
   eval::OpHint hint;
@@ -126,9 +123,7 @@ BenchRow two_stage_characterize(const std::string& name, KernelMode mode,
     circuits::TwoStageParams p;
     p.w12 = (10.0 + 0.25 * (i % 8)) * 1e-6;  // +-1-grid-step walk
     circuits::OpampBuildOptions opt;
-    opt.kernel = mode == KernelMode::Dense ? spice::SimKernel::Dense
-                                           : spice::SimKernel::Sparse;
-    opt.hint = mode == KernelMode::SparseWarm ? &hint : nullptr;
+    opt.hint = warm ? &hint : nullptr;
     if (!circuits::simulate_two_stage(p, card, opt).ok()) {
       std::fprintf(stderr, "[bench] two-stage characterization failed\n");
       std::exit(2);
@@ -143,7 +138,6 @@ BenchRow tia_characterize_warm(int reps) {
     circuits::TiaParams p;
     p.mn = 8 + (i % 4);
     circuits::TiaBuildOptions opt;
-    opt.kernel = spice::SimKernel::Sparse;
     opt.hint = &hint;
     if (!circuits::simulate_tia(p, card, opt).ok()) {
       std::fprintf(stderr, "[bench] tia characterization failed\n");
@@ -258,7 +252,6 @@ void kernel_counters_rows(CounterRows& rows) {
     circuits::TiaParams p;
     p.mn = 8 + (i % 4);
     circuits::TiaBuildOptions opt;
-    opt.kernel = spice::SimKernel::Sparse;
     opt.hint = &hint;
     if (!circuits::simulate_tia(p, card, opt).ok()) {
       std::fprintf(stderr, "[bench] tia counter workload failed\n");
@@ -360,12 +353,10 @@ int main(int argc, char** argv) {
   const double calibration = run_calibration();
 
   std::vector<BenchRow> benches;
-  benches.push_back(two_stage_characterize("two_stage_characterize_dense",
-                                           KernelMode::Dense, reps(12)));
-  benches.push_back(two_stage_characterize("two_stage_characterize_cold",
-                                           KernelMode::SparseCold, reps(12)));
-  benches.push_back(two_stage_characterize("two_stage_characterize_warm",
-                                           KernelMode::SparseWarm, reps(12)));
+  benches.push_back(
+      two_stage_characterize("two_stage_characterize_cold", false, reps(12)));
+  benches.push_back(
+      two_stage_characterize("two_stage_characterize_warm", true, reps(12)));
   benches.push_back(tia_characterize_warm(reps(24)));
   // Per-design rows; compare against the *_sparse_warm rows above for the
   // batched-kernel speedup (the PR 9 acceptance bar is >= 2x at 16 lanes).

@@ -9,13 +9,8 @@
 #include <utility>
 
 #include "analysis/deck_lint.hpp"
-#include "circuits/sim_hint.hpp"
-#include "spice/ac.hpp"
-#include "spice/dc.hpp"
-#include "spice/measure.hpp"
-#include "spice/noise.hpp"
+#include "circuits/lanes.hpp"
 #include "spice/transient.hpp"
-#include "spice/workspace.hpp"
 
 namespace autockt::circuits {
 
@@ -171,104 +166,13 @@ util::Expected<SizingProblem> make_netlist_problem(
     }
   }
 
-  // The evaluator: instantiate the deck at the design point and run exactly
-  // the analyses the measures need, all through one per-(thread, topology)
-  // workspace so repeated evaluations pay no symbolic-factorization cost.
+  // The evaluator: instantiate the deck at every point of the batch and run
+  // exactly the analyses the measures need as lanes of one pipeline
+  // (circuits/lanes.hpp) through one per-(thread, topology) workspace, so
+  // repeated evaluations pay no symbolic-factorization cost. Transient
+  // measures are per-lane tails; a single point is a one-lane batch.
   auto deck_copy = std::make_shared<const spice::NetlistDeck>(deck);
   const std::string ws_key = "netlist/" + name;
-  auto eval = [deck_copy, plan, ws_key](
-                  const ParamVector& idx,
-                  eval::OpHint* hint) -> util::Expected<SpecVector> {
-    using namespace spice;
-    std::vector<double> values(deck_copy->params.size());
-    for (std::size_t p = 0; p < values.size(); ++p) {
-      values[p] = deck_copy->params[p].value_at(idx[p]);
-    }
-    auto inst = deck_copy->instantiate(values);
-    if (!inst.ok()) return inst.error();
-    Circuit& ckt = inst->circuit;
-    SimWorkspace& ws = workspace_for(ckt, ws_key);
-
-    DcOptions dc_opt;
-    dc_opt.workspace = &ws;
-    OpPoint warm;
-    apply_warm_start(hint, warm, dc_opt);
-    dc_opt.initial_node_v = inst->initial_node_voltages();
-    auto op = solve_op(ckt, dc_opt);
-    if (!op.ok()) return op.error();
-    refresh_hint(hint, *op);
-
-    AcMeasurements acm;
-    if (plan.need_ac) {
-      AcOptions o = inst->ac.front().options;
-      o.workspace = &ws;
-      auto sweep = ac_sweep(ckt, *op,
-                            probe_node(ckt, inst->ac.front().probe),
-                            kGround, o);
-      if (!sweep.ok()) return sweep.error();
-      acm = measure_ac(*sweep);
-    }
-    SettlingResult settle;
-    if (plan.need_tran) {
-      TranOptions o = inst->tran.front().options;
-      o.workspace = &ws;
-      auto tran = transient(
-          ckt, *op, {probe_node(ckt, inst->tran.front().probe)}, o);
-      if (!tran.ok()) return tran.error();
-      settle = measure_settling(tran->time, tran->waveforms[0]);
-    }
-    double noise_vrms = 0.0;
-    if (plan.need_noise) {
-      NoiseOptions o = inst->noise.front().options;
-      o.workspace = &ws;
-      auto noise = noise_sweep(ckt, *op,
-                               probe_node(ckt, inst->noise.front().probe),
-                               kGround, o);
-      if (!noise.ok()) return noise.error();
-      noise_vrms = noise->total_output_vrms();
-    }
-
-    SpecVector out(plan.per_spec.size(), 0.0);
-    for (std::size_t i = 0; i < plan.per_spec.size(); ++i) {
-      const MeasurePlan::Extraction& ex = plan.per_spec[i];
-      switch (ex.kind) {
-        case DeckMeasure::Kind::Gain:
-          out[i] = acm.dc_gain;
-          break;
-        case DeckMeasure::Kind::F3db:
-          out[i] = acm.f3db_found ? acm.f3db : ex.fail_value;
-          break;
-        case DeckMeasure::Kind::Ugbw:
-          out[i] = acm.ugbw_found ? acm.ugbw : ex.fail_value;
-          break;
-        case DeckMeasure::Kind::PhaseMargin:
-          out[i] = acm.ugbw_found ? acm.phase_margin_deg : ex.fail_value;
-          break;
-        case DeckMeasure::Kind::Settling:
-          out[i] = settle.settled ? settle.time : ex.fail_value;
-          break;
-        case DeckMeasure::Kind::Noise:
-          out[i] = noise_vrms;
-          break;
-        case DeckMeasure::Kind::SupplyCurrent: {
-          const Device* dev = ckt.find(ex.source);
-          if (dev == nullptr || dev->branch_count() == 0) {
-            return util::Error{"supply_current: no branch device '" +
-                               ex.source + "'"};
-          }
-          out[i] = std::fabs(op->branch_i[dev->first_branch()]);
-          break;
-        }
-      }
-    }
-    return out;
-  };
-
-  // Batched evaluator: all instantiations of one deck share a topology, so
-  // K grid points become K lanes of the batched kernel — one lockstep DC
-  // Newton and (when the plan needs it) one batched AC / noise sweep.
-  // Transient measures stay scalar per lane. Per-lane results are exactly
-  // what the scalar evaluator returns.
   auto eval_batch = [deck_copy, plan, ws_key](
                         const std::vector<ParamVector>& points,
                         const std::vector<eval::OpHint*>& hints)
@@ -276,13 +180,11 @@ util::Expected<SizingProblem> make_netlist_problem(
     using namespace spice;
     const std::size_t K = points.size();
     std::vector<util::Expected<SpecVector>> results(K, SpecVector{});
-    if (K == 0) return results;
-    const auto hint_of = [&](std::size_t l) -> eval::OpHint* {
-      return l < hints.size() ? hints[l] : nullptr;
-    };
-
-    std::vector<std::optional<spice::ParsedNetlist>> insts(K);
+    std::vector<std::optional<ParsedNetlist>> insts(K);
     std::vector<std::size_t> live;
+    std::vector<const Circuit*> ckts;
+    std::vector<DcOptions> dc;
+    std::vector<eval::OpHint*> live_hints;
     for (std::size_t l = 0; l < K; ++l) {
       std::vector<double> values(deck_copy->params.size());
       for (std::size_t p = 0; p < values.size(); ++p) {
@@ -293,139 +195,80 @@ util::Expected<SizingProblem> make_netlist_problem(
         results[l] = inst.error();
         continue;
       }
-      insts[l].emplace(std::move(*inst));
+      const ParsedNetlist& lane = insts[l].emplace(std::move(*inst));
       live.push_back(l);
+      ckts.push_back(&lane.circuit);
+      dc.emplace_back().initial_node_v = lane.initial_node_voltages();
+      live_hints.push_back(l < hints.size() ? hints[l] : nullptr);
     }
     if (live.empty()) return results;
-    SimWorkspace& ws =
-        workspace_for(insts[live.front()]->circuit, ws_key);
 
-    std::vector<const Circuit*> dc_ckts;
-    std::vector<DcOptions> dc_opts;
-    std::vector<OpPoint> warm(K);
-    dc_ckts.reserve(live.size());
-    dc_opts.reserve(live.size());
-    for (const std::size_t l : live) {
-      dc_ckts.push_back(&insts[l]->circuit);
-      DcOptions dc_opt;
-      dc_opt.workspace = &ws;
-      apply_warm_start(hint_of(l), warm[l], dc_opt);
-      dc_opt.initial_node_v = insts[l]->initial_node_voltages();
-      dc_opts.push_back(std::move(dc_opt));
-    }
-    std::vector<util::Expected<OpPoint>> ops =
-        solve_op_batch(dc_ckts, dc_opts, ws);
-
-    // Compact the DC-converged lanes into the batched sweeps.
-    std::vector<std::size_t> ok_lanes;
-    std::vector<const Circuit*> ok_ckts;
-    std::vector<const OpPoint*> ok_ops;
-    std::vector<OpPoint> op_store(live.size());
-    for (std::size_t s = 0; s < live.size(); ++s) {
-      const std::size_t l = live[s];
-      if (!ops[s].ok()) {
-        results[l] = ops[s].error();
-        continue;
-      }
-      refresh_hint(hint_of(l), *ops[s]);
-      op_store[ok_lanes.size()] = std::move(*ops[s]);
-      ok_ckts.push_back(&insts[l]->circuit);
-      ok_lanes.push_back(l);
-    }
-    if (ok_lanes.empty()) return results;
-    ok_ops.reserve(ok_lanes.size());
-    for (std::size_t s = 0; s < ok_lanes.size(); ++s) {
-      ok_ops.push_back(&op_store[s]);
-    }
-
-    std::vector<util::Expected<std::vector<AcPoint>>> sweeps;
+    const ParsedNetlist& first = *insts[live.front()];
+    SimWorkspace& ws = workspace_for(first.circuit, ws_key);
+    LanePlan lanes;
     if (plan.need_ac) {
-      AcOptions o = insts[ok_lanes.front()]->ac.front().options;
-      o.workspace = &ws;
-      const NodeId probe = probe_node(
-          *ok_ckts.front(), insts[ok_lanes.front()]->ac.front().probe);
-      sweeps = ac_sweep_batch(ok_ckts, ok_ops, probe, kGround, o, ws);
+      lanes.ac = first.ac.front().options;
+      lanes.ac_probe = probe_node(first.circuit, first.ac.front().probe);
     }
-    std::vector<util::Expected<NoiseResult>> noises;
     if (plan.need_noise) {
-      NoiseOptions o = insts[ok_lanes.front()]->noise.front().options;
-      o.workspace = &ws;
-      const NodeId probe = probe_node(
-          *ok_ckts.front(), insts[ok_lanes.front()]->noise.front().probe);
-      noises = noise_sweep_batch(ok_ckts, ok_ops, probe, kGround, o, ws);
+      lanes.noise = first.noise.front().options;
+      lanes.noise_probe =
+          probe_node(first.circuit, first.noise.front().probe);
     }
-
-    for (std::size_t s = 0; s < ok_lanes.size(); ++s) {
-      const std::size_t l = ok_lanes[s];
-      Circuit& ckt = insts[l]->circuit;
-      const OpPoint& op = op_store[s];
-
-      AcMeasurements acm;
-      if (plan.need_ac) {
-        if (!sweeps[s].ok()) {
-          results[l] = sweeps[s].error();
-          continue;
-        }
-        acm = measure_ac(*sweeps[s]);
-      }
-      SettlingResult settle;
-      if (plan.need_tran) {
-        TranOptions o = insts[l]->tran.front().options;
-        o.workspace = &ws;
-        auto tran = transient(
-            ckt, op, {probe_node(ckt, insts[l]->tran.front().probe)}, o);
-        if (!tran.ok()) {
-          results[l] = tran.error();
-          continue;
-        }
-        settle = measure_settling(tran->time, tran->waveforms[0]);
-      }
-      double noise_vrms = 0.0;
-      if (plan.need_noise) {
-        if (!noises[s].ok()) {
-          results[l] = noises[s].error();
-          continue;
-        }
-        noise_vrms = noises[s]->total_output_vrms();
-      }
-
-      SpecVector out(plan.per_spec.size(), 0.0);
-      bool lane_ok = true;
-      for (std::size_t i = 0; i < plan.per_spec.size() && lane_ok; ++i) {
-        const MeasurePlan::Extraction& ex = plan.per_spec[i];
-        switch (ex.kind) {
-          case DeckMeasure::Kind::Gain:
-            out[i] = acm.dc_gain;
-            break;
-          case DeckMeasure::Kind::F3db:
-            out[i] = acm.f3db_found ? acm.f3db : ex.fail_value;
-            break;
-          case DeckMeasure::Kind::Ugbw:
-            out[i] = acm.ugbw_found ? acm.ugbw : ex.fail_value;
-            break;
-          case DeckMeasure::Kind::PhaseMargin:
-            out[i] = acm.ugbw_found ? acm.phase_margin_deg : ex.fail_value;
-            break;
-          case DeckMeasure::Kind::Settling:
-            out[i] = settle.settled ? settle.time : ex.fail_value;
-            break;
-          case DeckMeasure::Kind::Noise:
-            out[i] = noise_vrms;
-            break;
-          case DeckMeasure::Kind::SupplyCurrent: {
-            const Device* dev = ckt.find(ex.source);
-            if (dev == nullptr || dev->branch_count() == 0) {
-              results[l] = util::Error{"supply_current: no branch device '" +
-                                       ex.source + "'"};
-              lane_ok = false;
-              break;
-            }
-            out[i] = std::fabs(op.branch_i[dev->first_branch()]);
-            break;
+    auto specs = run_lanes<SpecVector>(
+        ckts, std::move(dc), live_hints, lanes, ws,
+        [&](std::size_t s,
+            const LaneResult& lane) -> util::Expected<SpecVector> {
+          const ParsedNetlist& inst = *insts[live[s]];
+          const Circuit& ckt = inst.circuit;
+          const AcMeasurements& acm = lane.ac;
+          SettlingResult settle;
+          if (plan.need_tran) {
+            TranOptions o = inst.tran.front().options;
+            o.workspace = &ws;
+            auto tran = transient(
+                ckt, lane.op, {probe_node(ckt, inst.tran.front().probe)}, o);
+            if (!tran.ok()) return tran.error();
+            settle = measure_settling(tran->time, tran->waveforms[0]);
           }
-        }
-      }
-      if (lane_ok) results[l] = std::move(out);
+
+          SpecVector out(plan.per_spec.size(), 0.0);
+          for (std::size_t i = 0; i < plan.per_spec.size(); ++i) {
+            const MeasurePlan::Extraction& ex = plan.per_spec[i];
+            switch (ex.kind) {
+              case DeckMeasure::Kind::Gain:
+                out[i] = acm.dc_gain;
+                break;
+              case DeckMeasure::Kind::F3db:
+                out[i] = acm.f3db_found ? acm.f3db : ex.fail_value;
+                break;
+              case DeckMeasure::Kind::Ugbw:
+                out[i] = acm.ugbw_found ? acm.ugbw : ex.fail_value;
+                break;
+              case DeckMeasure::Kind::PhaseMargin:
+                out[i] = acm.ugbw_found ? acm.phase_margin_deg : ex.fail_value;
+                break;
+              case DeckMeasure::Kind::Settling:
+                out[i] = settle.settled ? settle.time : ex.fail_value;
+                break;
+              case DeckMeasure::Kind::Noise:
+                out[i] = lane.noise_vrms;
+                break;
+              case DeckMeasure::Kind::SupplyCurrent: {
+                const Device* dev = ckt.find(ex.source);
+                if (dev == nullptr || dev->branch_count() == 0) {
+                  return util::Error{"supply_current: no branch device '" +
+                                     ex.source + "'"};
+                }
+                out[i] = std::fabs(lane.op.branch_i[dev->first_branch()]);
+                break;
+              }
+            }
+          }
+          return out;
+        });
+    for (std::size_t s = 0; s < live.size(); ++s) {
+      results[live[s]] = std::move(specs[s]);
     }
     return results;
   };
@@ -448,9 +291,8 @@ util::Expected<SizingProblem> make_netlist_problem(
       problem_fingerprint(prob.name, prob.params, prob.specs, deck_lines);
 
   try {
-    prob.backend = make_standard_backend(
-        std::move(eval), std::move(eval_batch), name + "_sim", options,
-        fingerprint);
+    prob.backend = make_standard_backend(std::move(eval_batch),
+                                         name + "_sim", options, fingerprint);
   } catch (const std::runtime_error& e) {
     // DiskLogStore::open refused the cache directory (fingerprint
     // mismatch, unwritable path); surface it as a deck-level error.

@@ -2,10 +2,7 @@
 
 #include <cmath>
 
-#include "circuits/sim_hint.hpp"
-#include "spice/ac.hpp"
-#include "spice/dc.hpp"
-#include "spice/measure.hpp"
+#include "circuits/lanes.hpp"
 #include "spice/units.hpp"
 
 namespace autockt::circuits {
@@ -18,14 +15,10 @@ constexpr double kChannelLengthFactor = 2.0;
 constexpr double kVcmFraction = 0.6;
 
 spice::DcOptions ngm_dc_options(const spice::Circuit& ckt,
-                                const spice::TechCard& card,
-                                spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
+                                const spice::TechCard& card) {
   using namespace spice;
   const double vcm = kVcmFraction * card.vdd;
   DcOptions dc_opt;
-  dc_opt.kernel = kernel;
-  dc_opt.workspace = ws;
   dc_opt.initial_node_v.assign(ckt.num_nodes(), 0.0);
   dc_opt.initial_node_v[ckt.node("vdd")] = card.vdd;
   dc_opt.initial_node_v[ckt.node("inp")] = vcm;
@@ -38,19 +31,8 @@ spice::DcOptions ngm_dc_options(const spice::Circuit& ckt,
   return dc_opt;
 }
 
-spice::AcOptions ngm_ac_options(spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
-  spice::AcOptions ac_opt;
-  ac_opt.kernel = kernel;
-  ac_opt.workspace = ws;
-  ac_opt.f_start = 1e2;
-  ac_opt.f_stop = 1e11;
-  ac_opt.points_per_decade = 10;
-  return ac_opt;
-}
-
-NgmResult assemble_ngm_result(const spice::AcMeasurements& acm,
-                              const spice::OpPoint& op) {
+NgmResult assemble_ngm_result(std::size_t, const LaneResult& lane) {
+  const spice::AcMeasurements& acm = lane.ac;
   NgmResult result;
   result.gain = acm.dc_gain;
   result.ugbw_found = acm.ugbw_found;
@@ -65,7 +47,7 @@ NgmResult assemble_ngm_result(const spice::AcMeasurements& acm,
     result.ugbw = acm.dc_gain * acm.f3db;
     result.phase_margin = 0.0;
   }
-  result.bias_current = -op.branch_i[0];
+  result.bias_current = -lane.op.branch_i[0];
   return result;
 }
 }  // namespace
@@ -157,98 +139,37 @@ spice::Circuit build_ngm_ota(const NgmParams& params,
 util::Expected<NgmResult> simulate_ngm_ota(const NgmParams& params,
                                            const spice::TechCard& card,
                                            const NgmBuildOptions& options) {
-  using namespace spice;
-  Circuit ckt = build_ngm_ota(params, card, options);
-
-  // One workspace per (thread, topology): pattern + symbolic factorization
-  // amortize across every grid point (and every PVT corner, which shares
-  // the topology).
-  SimWorkspace* ws = nullptr;
-  if (options.kernel == SimKernel::Sparse) {
-    ws = &workspace_for(ckt, options.parasitics != nullptr ? "ngm_ota_pex"
-                                                           : "ngm_ota");
-  }
-
-  DcOptions dc_opt = ngm_dc_options(ckt, card, options.kernel, ws);
-  OpPoint warm;
-  apply_warm_start(options.hint, warm, dc_opt);
-  auto op = solve_op(ckt, dc_opt);
-  if (!op.ok()) return op.error();
-  refresh_hint(options.hint, *op);
-
-  const AcOptions ac_opt = ngm_ac_options(options.kernel, ws);
-  auto sweep = ac_sweep(ckt, *op, ckt.node("out"), kGround, ac_opt);
-  if (!sweep.ok()) return sweep.error();
-  return assemble_ngm_result(measure_ac(*sweep), *op);
+  return std::move(
+      simulate_ngm_ota_batch({params}, card, options, {options.hint})[0]);
 }
 
 std::vector<util::Expected<NgmResult>> simulate_ngm_ota_batch(
     const std::vector<NgmParams>& params, const spice::TechCard& card,
     const NgmBuildOptions& options, const std::vector<eval::OpHint*>& hints) {
   using namespace spice;
-  const std::size_t K = params.size();
-  std::vector<util::Expected<NgmResult>> results(K, NgmResult{});
-  if (K == 0) return results;
-  const auto hint_of = [&](std::size_t l) -> eval::OpHint* {
-    return l < hints.size() ? hints[l] : nullptr;
-  };
-  if (options.kernel == SimKernel::Dense) {
-    for (std::size_t l = 0; l < K; ++l) {
-      NgmBuildOptions lane_options = options;
-      lane_options.hint = hint_of(l);
-      results[l] = simulate_ngm_ota(params[l], card, lane_options);
-    }
-    return results;
-  }
-
+  if (params.empty()) return {};
   std::vector<Circuit> circuits;
-  circuits.reserve(K);
+  circuits.reserve(params.size());
+  std::vector<const Circuit*> ckts;
+  std::vector<DcOptions> dc;
   for (const NgmParams& p : params) {
-    circuits.push_back(build_ngm_ota(p, card, options));
+    ckts.push_back(&circuits.emplace_back(build_ngm_ota(p, card, options)));
+    dc.push_back(ngm_dc_options(circuits.back(), card));
   }
+  // One workspace per (thread, topology): pattern + symbolic factorization
+  // amortize across every grid point (and every PVT corner, which shares
+  // the topology).
   SimWorkspace& ws = workspace_for(
       circuits.front(),
       options.parasitics != nullptr ? "ngm_ota_pex" : "ngm_ota");
-
-  std::vector<const Circuit*> ckt_ptrs(K);
-  std::vector<DcOptions> dc_opts(K);
-  std::vector<OpPoint> warm(K);
-  for (std::size_t l = 0; l < K; ++l) {
-    ckt_ptrs[l] = &circuits[l];
-    dc_opts[l] = ngm_dc_options(circuits[l], card, SimKernel::Sparse, &ws);
-    NgmBuildOptions lane_options = options;
-    lane_options.hint = hint_of(l);
-    apply_warm_start(lane_options.hint, warm[l], dc_opts[l]);
-  }
-  std::vector<util::Expected<OpPoint>> ops =
-      solve_op_batch(ckt_ptrs, dc_opts, ws);
-
-  std::vector<std::size_t> ac_lanes;
-  std::vector<const Circuit*> ac_ckts;
-  std::vector<const OpPoint*> ac_ops;
-  for (std::size_t l = 0; l < K; ++l) {
-    if (!ops[l].ok()) {
-      results[l] = ops[l].error();
-      continue;
-    }
-    refresh_hint(hint_of(l), *ops[l]);
-    ac_lanes.push_back(l);
-    ac_ckts.push_back(&circuits[l]);
-    ac_ops.push_back(&*ops[l]);
-  }
-  if (ac_lanes.empty()) return results;
-  const AcOptions ac_opt = ngm_ac_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<std::vector<AcPoint>>> sweeps = ac_sweep_batch(
-      ac_ckts, ac_ops, circuits.front().node("out"), kGround, ac_opt, ws);
-  for (std::size_t s = 0; s < ac_lanes.size(); ++s) {
-    const std::size_t l = ac_lanes[s];
-    if (!sweeps[s].ok()) {
-      results[l] = sweeps[s].error();
-      continue;
-    }
-    results[l] = assemble_ngm_result(measure_ac(*sweeps[s]), *ops[l]);
-  }
-  return results;
+  LanePlan plan;
+  plan.ac.emplace();
+  plan.ac->f_start = 1e2;
+  plan.ac->f_stop = 1e11;
+  plan.ac->points_per_decade = 10;
+  plan.ac_probe = circuits.front().node("out");
+  return run_lanes<NgmResult>(ckts, std::move(dc), hints, plan, ws,
+                              assemble_ngm_result);
 }
 
 NgmParams ngm_params_from_grid(const std::vector<ParamDef>& defs,

@@ -17,7 +17,6 @@
 #include "circuits/sizing_problem.hpp"
 #include "pex/parasitics.hpp"
 #include "spice/circuit.hpp"
-#include "spice/workspace.hpp"
 #include "util/expected.hpp"
 
 namespace autockt::circuits {
@@ -42,10 +41,6 @@ struct NgmResult {
 
 struct NgmBuildOptions {
   const pex::ParasiticModel* parasitics = nullptr;
-  /// Sparse reuses the per-thread topology workspace (pattern + symbolic
-  /// factorization cached across evaluations); Dense is the legacy
-  /// reference kernel for parity tests and benchmarks.
-  spice::SimKernel kernel = spice::SimKernel::Sparse;
   /// Warm-start slot threaded from the eval layer: read as the Newton
   /// stage-0 guess when valid, refreshed with the converged operating
   /// point on success.
@@ -56,15 +51,15 @@ spice::Circuit build_ngm_ota(const NgmParams& params,
                              const spice::TechCard& card,
                              const NgmBuildOptions& options = {});
 
+/// One design: a one-lane simulate_ngm_ota_batch() call.
 util::Expected<NgmResult> simulate_ngm_ota(const NgmParams& params,
                                            const spice::TechCard& card,
                                            const NgmBuildOptions& options = {});
 
-/// Batched characterization: K design points run as lanes of the batched
-/// kernel (lockstep DC Newton + batched AC sweep); per-lane results are
-/// identical to simulate_ngm_ota(). `hints` may be empty or hold one
-/// (possibly null) hint per design; `options.hint` is ignored. The Dense
-/// kernel falls back to a scalar loop.
+/// Characterization of K design points as lanes of one pipeline
+/// (circuits/lanes.hpp: lockstep DC Newton + batched AC sweep); per-lane
+/// results are bitwise those of a one-lane call. `hints` may be empty or
+/// hold one (possibly null) hint per design; `options.hint` is ignored.
 std::vector<util::Expected<NgmResult>> simulate_ngm_ota_batch(
     const std::vector<NgmParams>& params, const spice::TechCard& card,
     const NgmBuildOptions& options = {},

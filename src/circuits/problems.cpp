@@ -66,8 +66,7 @@ std::shared_ptr<eval::EvalBackend> wrap_cache(
     return std::make_shared<eval::CachedBackend>(std::move(backend),
                                                  store.value());
   }
-  return std::make_shared<eval::CachedBackend>(std::move(backend),
-                                               options.cache_shards);
+  return std::make_shared<eval::CachedBackend>(std::move(backend));
 }
 
 /// Fork the leaf across worker processes. The factory runs in each CHILD
@@ -83,6 +82,30 @@ std::shared_ptr<eval::EvalBackend> wrap_process_pool(
   popts.leaf_stats = kernel_leaf_stats;
   return std::make_shared<eval::ProcessPoolBackend>(std::move(factory),
                                                     popts);
+}
+
+/// A builtin problem's one evaluator: grid points map to design parameters,
+/// the circuit's `_batch` simulator runs them as lanes, and each lane's
+/// result maps to its spec vector.
+template <typename ToParams, typename Simulate, typename ToSpecs>
+eval::BatchEvalFn batch_evaluator(ToParams to_params, Simulate simulate,
+                                  ToSpecs to_specs) {
+  return [=](const std::vector<ParamVector>& points,
+             const std::vector<eval::OpHint*>& hints) {
+    std::vector<decltype(to_params(points.front()))> params;
+    params.reserve(points.size());
+    for (const ParamVector& idx : points) params.push_back(to_params(idx));
+    std::vector<util::Expected<SpecVector>> out;
+    out.reserve(points.size());
+    for (auto& res : simulate(params, hints)) {
+      if (res.ok()) {
+        out.push_back(to_specs(*res));
+      } else {
+        out.push_back(res.error());
+      }
+    }
+    return out;
+  };
 }
 
 }  // namespace
@@ -114,41 +137,21 @@ std::uint64_t problem_fingerprint(const std::string& name,
 }
 
 std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, const std::string& name,
+    eval::BatchEvalFn batch_fn, const std::string& name,
     const ProblemOptions& options, std::uint64_t cache_fingerprint) {
-  return make_standard_backend(std::move(fn), nullptr, name, options,
-                               cache_fingerprint);
-}
-
-std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, eval::BatchEvalFn batch_fn, const std::string& name,
-    const ProblemOptions& options, std::uint64_t cache_fingerprint) {
-  if (!options.batch_kernel) batch_fn = nullptr;
   std::shared_ptr<eval::EvalBackend> backend;
   if (options.eval_workers > 0) {
     // Distributed stack: Cache(ProcessPool(worker: Function leaf)). Each
-    // worker keeps the batched-kernel leaf, so its shard of a batch still
-    // runs as lockstep lanes; the thread-pool layer is omitted — processes
-    // ARE the fan-out.
+    // worker's shard of a batch still runs as lockstep lanes.
     backend = wrap_process_pool(
-        [fn = std::move(fn), batch_fn = std::move(batch_fn),
+        [batch_fn = std::move(batch_fn),
          name]() -> std::shared_ptr<eval::EvalBackend> {
-          return batch_fn != nullptr
-                     ? std::make_shared<eval::FunctionBackend>(fn, batch_fn,
-                                                               name)
-                     : std::make_shared<eval::FunctionBackend>(fn, name);
+          return std::make_shared<eval::FunctionBackend>(batch_fn, name);
         },
         name, options);
   } else {
     backend =
-        batch_fn != nullptr
-            ? std::make_shared<eval::FunctionBackend>(
-                  std::move(fn), std::move(batch_fn), name)
-            : std::make_shared<eval::FunctionBackend>(std::move(fn), name);
-    if (options.parallel_batch) {
-      backend =
-          std::make_shared<eval::ThreadPoolBackend>(backend, options.pool);
-    }
+        std::make_shared<eval::FunctionBackend>(std::move(batch_fn), name);
   }
   return wrap_cache(std::move(backend), options, cache_fingerprint);
 }
@@ -179,37 +182,17 @@ SizingProblem make_tia_problem(const ProblemOptions& options) {
   const spice::TechCard card = spice::TechCard::ptm45();
   const auto param_defs = prob.params;
   prob.backend = make_standard_backend(
-      [card, param_defs](const ParamVector& idx,
-                         eval::OpHint* hint) -> util::Expected<SpecVector> {
-        const TiaParams p = tia_params_from_grid(param_defs, idx);
-        TiaBuildOptions build;
-        build.hint = hint;
-        auto res = simulate_tia(p, card, build);
-        if (!res.ok()) return res.error();
-        return SpecVector{res->settling_time, res->cutoff_freq,
-                          res->input_noise};
-      },
-      [card, param_defs](const std::vector<ParamVector>& points,
-                         const std::vector<eval::OpHint*>& hints)
-          -> std::vector<util::Expected<SpecVector>> {
-        std::vector<TiaParams> params;
-        params.reserve(points.size());
-        for (const ParamVector& idx : points) {
-          params.push_back(tia_params_from_grid(param_defs, idx));
-        }
-        auto sims = simulate_tia_batch(params, card, {}, hints);
-        std::vector<util::Expected<SpecVector>> out;
-        out.reserve(sims.size());
-        for (auto& res : sims) {
-          if (!res.ok()) {
-            out.push_back(res.error());
-          } else {
-            out.push_back(SpecVector{res->settling_time, res->cutoff_freq,
-                                     res->input_noise});
-          }
-        }
-        return out;
-      },
+      batch_evaluator(
+          [param_defs](const ParamVector& idx) {
+            return tia_params_from_grid(param_defs, idx);
+          },
+          [card](const std::vector<TiaParams>& params,
+                 const std::vector<eval::OpHint*>& hints) {
+            return simulate_tia_batch(params, card, {}, hints);
+          },
+          [](const TiaResult& r) {
+            return SpecVector{r.settling_time, r.cutoff_freq, r.input_noise};
+          }),
       "tia_sim", options,
       problem_fingerprint(prob.name, prob.params, prob.specs));
   prob.validate();
@@ -258,37 +241,17 @@ SizingProblem make_two_stage_problem(const ProblemOptions& options) {
   const spice::TechCard card = spice::TechCard::ptm45();
   const auto param_defs = prob.params;
   prob.backend = make_standard_backend(
-      [card, param_defs](const ParamVector& idx,
-                         eval::OpHint* hint) -> util::Expected<SpecVector> {
-        const TwoStageParams p = two_stage_params_from_grid(param_defs, idx);
-        OpampBuildOptions build;
-        build.hint = hint;
-        auto res = simulate_two_stage(p, card, build);
-        if (!res.ok()) return res.error();
-        return SpecVector{res->gain, res->ugbw, res->phase_margin,
-                          res->bias_current};
-      },
-      [card, param_defs](const std::vector<ParamVector>& points,
-                         const std::vector<eval::OpHint*>& hints)
-          -> std::vector<util::Expected<SpecVector>> {
-        std::vector<TwoStageParams> params;
-        params.reserve(points.size());
-        for (const ParamVector& idx : points) {
-          params.push_back(two_stage_params_from_grid(param_defs, idx));
-        }
-        auto sims = simulate_two_stage_batch(params, card, {}, hints);
-        std::vector<util::Expected<SpecVector>> out;
-        out.reserve(sims.size());
-        for (auto& res : sims) {
-          if (!res.ok()) {
-            out.push_back(res.error());
-          } else {
-            out.push_back(SpecVector{res->gain, res->ugbw, res->phase_margin,
-                                     res->bias_current});
-          }
-        }
-        return out;
-      },
+      batch_evaluator(
+          [param_defs](const ParamVector& idx) {
+            return two_stage_params_from_grid(param_defs, idx);
+          },
+          [card](const std::vector<TwoStageParams>& params,
+                 const std::vector<eval::OpHint*>& hints) {
+            return simulate_two_stage_batch(params, card, {}, hints);
+          },
+          [](const OpampResult& r) {
+            return SpecVector{r.gain, r.ugbw, r.phase_margin, r.bias_current};
+          }),
       "two_stage_sim", options,
       problem_fingerprint(prob.name, prob.params, prob.specs));
   prob.validate();
@@ -342,35 +305,17 @@ SizingProblem make_ngm_problem(const ProblemOptions& options) {
   const spice::TechCard card = spice::TechCard::finfet16();
   const auto param_defs = prob.params;
   prob.backend = make_standard_backend(
-      [card, param_defs](const ParamVector& idx,
-                         eval::OpHint* hint) -> util::Expected<SpecVector> {
-        const NgmParams p = ngm_params_from_grid(param_defs, idx);
-        NgmBuildOptions build;
-        build.hint = hint;
-        auto res = simulate_ngm_ota(p, card, build);
-        if (!res.ok()) return res.error();
-        return SpecVector{res->gain, res->ugbw, res->phase_margin};
-      },
-      [card, param_defs](const std::vector<ParamVector>& points,
-                         const std::vector<eval::OpHint*>& hints)
-          -> std::vector<util::Expected<SpecVector>> {
-        std::vector<NgmParams> params;
-        params.reserve(points.size());
-        for (const ParamVector& idx : points) {
-          params.push_back(ngm_params_from_grid(param_defs, idx));
-        }
-        auto sims = simulate_ngm_ota_batch(params, card, {}, hints);
-        std::vector<util::Expected<SpecVector>> out;
-        out.reserve(sims.size());
-        for (auto& res : sims) {
-          if (!res.ok()) {
-            out.push_back(res.error());
-          } else {
-            out.push_back(SpecVector{res->gain, res->ugbw, res->phase_margin});
-          }
-        }
-        return out;
-      },
+      batch_evaluator(
+          [param_defs](const ParamVector& idx) {
+            return ngm_params_from_grid(param_defs, idx);
+          },
+          [card](const std::vector<NgmParams>& params,
+                 const std::vector<eval::OpHint*>& hints) {
+            return simulate_ngm_ota_batch(params, card, {}, hints);
+          },
+          [](const NgmResult& r) {
+            return SpecVector{r.gain, r.ugbw, r.phase_margin};
+          }),
       "ngm_sim", options,
       problem_fingerprint(prob.name, prob.params, prob.specs));
   prob.validate();
@@ -447,13 +392,10 @@ SizingProblem make_ngm_pex_problem(const ProblemOptions& options) {
     // points across workers (each point's corners staying serial).
     backend = std::make_shared<eval::CornerBackend>(
         corners.size(), std::move(corner_eval), std::move(fold),
-        options.parallel_corners
-            ? (options.pool ? options.pool : eval::ThreadPool::shared())
-            : nullptr,
+        options.parallel_corners ? eval::ThreadPool::shared() : nullptr,
         "pex_corners");
     if (!options.parallel_corners && options.parallel_batch) {
-      backend =
-          std::make_shared<eval::ThreadPoolBackend>(backend, options.pool);
+      backend = std::make_shared<eval::ThreadPoolBackend>(backend);
     }
   }
   prob.backend =

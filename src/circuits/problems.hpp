@@ -5,12 +5,12 @@
 // achievable; where recalibration was needed the constants below are
 // annotated (see docs/DESIGN.md section 3 and docs/EXPERIMENTS.md).
 //
-// Every factory wires an evaluation-backend stack behind the problem:
-// a FunctionBackend leaf (the simulator lambda), fanned out over the batch
-// thread pool, behind a sharded memo cache keyed on grid indices. The PEX
-// factory's leaf is a CornerBackend that simulates PVT corners in parallel
-// and folds the worst case. ProblemOptions strips layers for tests and
-// benchmarks that need the raw serial path.
+// Every factory wires an evaluation-backend stack behind the problem: a
+// FunctionBackend leaf holding the circuit's one batch simulator (a single
+// point is a one-lane batch) behind a sharded memo cache keyed on grid
+// indices. The PEX factory's leaf is a CornerBackend that simulates PVT
+// corners in parallel and folds the worst case. ProblemOptions strips
+// layers for tests and benchmarks that need the raw serial path.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "circuits/sizing_problem.hpp"
-#include "eval/thread_pool.hpp"
 #include "pex/parasitics.hpp"
 #include "pex/pvt.hpp"
 #include "spice/mosfet.hpp"
@@ -29,18 +28,12 @@ namespace autockt::circuits {
 /// Backend-stack configuration shared by all problem factories.
 struct ProblemOptions {
   bool cache = true;            // sharded memo cache over the grid
-  std::size_t cache_shards = 16;
-  bool parallel_batch = true;   // evaluate_batch() over the worker pool
+  /// In-process PEX with parallel_corners off only: evaluate_batch()
+  /// spreads points over the shared thread pool, each point folding its
+  /// corners serially. Schematic problems run a batch as lanes of one
+  /// pipeline instead.
+  bool parallel_batch = true;
   bool parallel_corners = true; // PEX only: PVT corners fanned out
-  /// evaluate_batch() runs K grid points as lanes of the batched sparse
-  /// kernel (SparseLuNumericBatch) instead of looping the scalar
-  /// simulator: lockstep DC Newton, batched AC/noise sweeps. Per-point
-  /// results are identical; only throughput changes. Ignored by the PEX
-  /// factory (its leaf is the corner fan-out) and by the Dense kernel.
-  bool batch_kernel = true;
-  /// Worker pool for batch/corner fan-out; null uses the process-wide
-  /// shared pool.
-  std::shared_ptr<eval::ThreadPool> pool;
   /// Directory of a persistent on-disk eval cache (eval::DiskLogStore).
   /// Empty keeps the memo in memory only. The cache is guarded by the
   /// problem fingerprint: opening a directory written for a different
@@ -63,22 +56,15 @@ std::uint64_t problem_fingerprint(const std::string& name,
                                   const std::vector<std::string>& extra = {});
 
 /// The standard backend stack behind a schematic problem: a FunctionBackend
-/// simulator leaf, optionally fanned out over the batch thread pool, behind
+/// leaf over `batch_fn` (whole batches as one call, single points as
+/// one-lane calls), optionally forked across eval_workers processes, behind
 /// an optional sharded memo cache. Shared by the built-in factories and by
 /// deck-compiled problems (circuits/netlist_problem.hpp).
 /// `cache_fingerprint` identifies the problem definition to a persistent
 /// cache (see problem_fingerprint); only consulted when options.cache_path
 /// is set.
 std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, const std::string& name,
-    const ProblemOptions& options, std::uint64_t cache_fingerprint = 0);
-
-/// Batch-aware variant: when `options.batch_kernel` is set and `batch_fn`
-/// is non-null, the FunctionBackend leaf routes whole batches through
-/// `batch_fn` (one batched-kernel invocation) and the thread-pool layer
-/// forwards rather than splits them.
-std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, eval::BatchEvalFn batch_fn, const std::string& name,
+    eval::BatchEvalFn batch_fn, const std::string& name,
     const ProblemOptions& options, std::uint64_t cache_fingerprint = 0);
 
 /// Transimpedance amplifier (Table I / Fig. 5). ptm45 card.

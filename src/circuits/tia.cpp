@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "circuits/sim_hint.hpp"
-#include "spice/ac.hpp"
-#include "spice/dc.hpp"
-#include "spice/measure.hpp"
-#include "spice/noise.hpp"
+#include "circuits/lanes.hpp"
 #include "spice/transient.hpp"
 #include "spice/units.hpp"
 
@@ -22,14 +18,13 @@ constexpr double kChannelLengthFactor = 2.0;  // drawn L = 2 * l_min
 // demonstrably settles. Equal to the maximum window (and the spec's fail
 // value), so a still-ringing design can never out-score one that settled.
 constexpr double kUnsettledPenalty = 3e-8;  // s
+// Top of the AC sweep; also the cutoff reported when no -3 dB point is
+// found inside it.
+constexpr double kAcStop = 1e11;  // Hz
 
 spice::DcOptions tia_dc_options(const spice::Circuit& ckt,
-                                const spice::TechCard& card,
-                                spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
+                                const spice::TechCard& card) {
   spice::DcOptions dc_opt;
-  dc_opt.kernel = kernel;
-  dc_opt.workspace = ws;
   dc_opt.initial_node_v.assign(ckt.num_nodes(), 0.0);
   dc_opt.initial_node_v[ckt.node("vdd")] = card.vdd;
   dc_opt.initial_node_v[ckt.node("in")] = card.vdd / 2.0;
@@ -37,31 +32,9 @@ spice::DcOptions tia_dc_options(const spice::Circuit& ckt,
   return dc_opt;
 }
 
-spice::AcOptions tia_ac_options(spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
-  spice::AcOptions ac_opt;
-  ac_opt.kernel = kernel;
-  ac_opt.workspace = ws;
-  ac_opt.f_start = 1e5;
-  ac_opt.f_stop = 1e11;
-  ac_opt.points_per_decade = 10;
-  return ac_opt;
-}
-
-spice::NoiseOptions tia_noise_options(spice::SimKernel kernel,
-                                      spice::SimWorkspace* ws) {
-  spice::NoiseOptions n_opt;
-  n_opt.kernel = kernel;
-  n_opt.workspace = ws;
-  n_opt.f_start = 1e3;
-  n_opt.f_stop = 1e10;
-  n_opt.points_per_decade = 4;
-  return n_opt;
-}
-
 /// Transient step-response settling measurement around the converged op
 /// point; window scaled from the lane's own small-signal bandwidth (which
-/// is why this stage stays scalar in the batched path).
+/// is why this stage is a per-lane tail of the pipeline).
 util::Expected<double> tia_settling_time(const TiaParams& params,
                                          const spice::TechCard& card,
                                          const TiaBuildOptions& options,
@@ -86,7 +59,6 @@ util::Expected<double> tia_settling_time(const TiaParams& params,
   Circuit step_ckt = build_tia(params, card, step_options);
 
   TranOptions tr_opt;
-  tr_opt.kernel = options.kernel;
   tr_opt.workspace = ws;  // step_ckt shares the topology (and pattern)
   tr_opt.t_stop = t_window;
   tr_opt.dt = t_window / 400.0;
@@ -151,150 +123,59 @@ spice::Circuit build_tia(const TiaParams& params, const spice::TechCard& card,
 util::Expected<TiaResult> simulate_tia(const TiaParams& params,
                                        const spice::TechCard& card,
                                        const TiaBuildOptions& options) {
-  using namespace spice;
-  Circuit ckt = build_tia(params, card, options);
-  const NodeId in = ckt.node("in");
-  const NodeId out = ckt.node("out");
-  (void)in;
-
-  // One workspace per (thread, topology), shared by the DC solve, the AC
-  // and noise sweeps, and the transient run (whose step-stimulus rebuild
-  // has the identical structure).
-  SimWorkspace* ws = nullptr;
-  if (options.kernel == SimKernel::Sparse) {
-    ws = &workspace_for(ckt,
-                        options.parasitics != nullptr ? "tia_pex" : "tia");
-  }
-
-  DcOptions dc_opt = tia_dc_options(ckt, card, options.kernel, ws);
-  OpPoint warm;
-  apply_warm_start(options.hint, warm, dc_opt);
-  auto op = solve_op(ckt, dc_opt);
-  if (!op.ok()) return op.error();
-  refresh_hint(options.hint, *op);
-
-  // ---- AC: transimpedance magnitude and cutoff --------------------------
-  const AcOptions ac_opt = tia_ac_options(options.kernel, ws);
-  auto sweep = ac_sweep(ckt, *op, out, kGround, ac_opt);
-  if (!sweep.ok()) return sweep.error();
-  const AcMeasurements acm = measure_ac(*sweep);
-
-  TiaResult result;
-  result.cutoff_freq = acm.f3db_found ? acm.f3db : ac_opt.f_stop;
-  const double z_dc = std::max(acm.dc_gain, 1.0);  // Ohms (1 A AC stimulus)
-
-  // ---- Noise: output-referred, then referred to the input ----------------
-  const NoiseOptions n_opt = tia_noise_options(options.kernel, ws);
-  auto noise = noise_sweep(ckt, *op, out, kGround, n_opt);
-  if (!noise.ok()) return noise.error();
-  // Input-referred current noise times the feedback resistance gives the
-  // paper's Vrms-equivalent input noise figure.
-  result.input_noise = noise->total_output_vrms() *
-                       params.feedback_resistance() / z_dc;
-
-  // ---- Transient: step-response settling ---------------------------------
-  auto settling = tia_settling_time(params, card, options, ws, *op,
-                                    result.cutoff_freq);
-  if (!settling.ok()) return settling.error();
-  result.settling_time = *settling;
-
-  result.supply_current = -op->branch_i[0];
-  return result;
+  return std::move(
+      simulate_tia_batch({params}, card, options, {options.hint})[0]);
 }
 
 std::vector<util::Expected<TiaResult>> simulate_tia_batch(
     const std::vector<TiaParams>& params, const spice::TechCard& card,
     const TiaBuildOptions& options, const std::vector<eval::OpHint*>& hints) {
   using namespace spice;
-  const std::size_t K = params.size();
-  std::vector<util::Expected<TiaResult>> results(K, TiaResult{});
-  if (K == 0) return results;
-  const auto hint_of = [&](std::size_t l) -> eval::OpHint* {
-    return l < hints.size() ? hints[l] : nullptr;
-  };
-  if (options.kernel == SimKernel::Dense) {
-    for (std::size_t l = 0; l < K; ++l) {
-      TiaBuildOptions lane_options = options;
-      lane_options.hint = hint_of(l);
-      results[l] = simulate_tia(params[l], card, lane_options);
-    }
-    return results;
-  }
-
+  if (params.empty()) return {};
   std::vector<Circuit> circuits;
-  circuits.reserve(K);
+  circuits.reserve(params.size());
+  std::vector<const Circuit*> ckts;
+  std::vector<DcOptions> dc;
   for (const TiaParams& p : params) {
-    circuits.push_back(build_tia(p, card, options));
+    ckts.push_back(&circuits.emplace_back(build_tia(p, card, options)));
+    dc.push_back(tia_dc_options(circuits.back(), card));
   }
+  // One workspace per (thread, topology), shared by the DC solve, the AC
+  // and noise sweeps, and the transient run (whose step-stimulus rebuild
+  // has the identical structure).
   SimWorkspace& ws = workspace_for(
       circuits.front(), options.parasitics != nullptr ? "tia_pex" : "tia");
   const NodeId out = circuits.front().node("out");
-
-  std::vector<const Circuit*> ckt_ptrs(K);
-  std::vector<DcOptions> dc_opts(K);
-  std::vector<OpPoint> warm(K);
-  for (std::size_t l = 0; l < K; ++l) {
-    ckt_ptrs[l] = &circuits[l];
-    dc_opts[l] = tia_dc_options(circuits[l], card, SimKernel::Sparse, &ws);
-    TiaBuildOptions lane_options = options;
-    lane_options.hint = hint_of(l);
-    apply_warm_start(lane_options.hint, warm[l], dc_opts[l]);
-  }
-  std::vector<util::Expected<OpPoint>> ops =
-      solve_op_batch(ckt_ptrs, dc_opts, ws);
-
-  // Compact the converged lanes into the batched AC and noise sweeps.
-  std::vector<std::size_t> live;
-  std::vector<const Circuit*> live_ckts;
-  std::vector<const OpPoint*> live_ops;
-  for (std::size_t l = 0; l < K; ++l) {
-    if (!ops[l].ok()) {
-      results[l] = ops[l].error();
-      continue;
-    }
-    refresh_hint(hint_of(l), *ops[l]);
-    live.push_back(l);
-    live_ckts.push_back(&circuits[l]);
-    live_ops.push_back(&*ops[l]);
-  }
-  if (live.empty()) return results;
-
-  const AcOptions ac_opt = tia_ac_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<std::vector<AcPoint>>> sweeps =
-      ac_sweep_batch(live_ckts, live_ops, out, kGround, ac_opt, ws);
-  const NoiseOptions n_opt = tia_noise_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<NoiseResult>> noises =
-      noise_sweep_batch(live_ckts, live_ops, out, kGround, n_opt, ws);
-
-  TiaBuildOptions lane_options = options;
-  lane_options.kernel = SimKernel::Sparse;
-  for (std::size_t s = 0; s < live.size(); ++s) {
-    const std::size_t l = live[s];
-    if (!sweeps[s].ok()) {
-      results[l] = sweeps[s].error();
-      continue;
-    }
-    if (!noises[s].ok()) {
-      results[l] = noises[s].error();
-      continue;
-    }
-    const AcMeasurements acm = measure_ac(*sweeps[s]);
-    TiaResult result;
-    result.cutoff_freq = acm.f3db_found ? acm.f3db : ac_opt.f_stop;
-    const double z_dc = std::max(acm.dc_gain, 1.0);
-    result.input_noise = noises[s]->total_output_vrms() *
-                         params[l].feedback_resistance() / z_dc;
-    auto settling = tia_settling_time(params[l], card, lane_options, &ws,
-                                      *ops[l], result.cutoff_freq);
-    if (!settling.ok()) {
-      results[l] = settling.error();
-      continue;
-    }
-    result.settling_time = *settling;
-    result.supply_current = -ops[l]->branch_i[0];
-    results[l] = result;
-  }
-  return results;
+  LanePlan plan;
+  plan.ac.emplace();  // transimpedance magnitude and cutoff
+  plan.ac->f_start = 1e5;
+  plan.ac->f_stop = kAcStop;
+  plan.ac->points_per_decade = 10;
+  plan.ac_probe = out;
+  plan.noise.emplace();  // output-referred, then referred to the input
+  plan.noise->f_start = 1e3;
+  plan.noise->f_stop = 1e10;
+  plan.noise->points_per_decade = 4;
+  plan.noise_probe = out;
+  return run_lanes<TiaResult>(
+      ckts, std::move(dc), hints, plan, ws,
+      [&](std::size_t l,
+          const LaneResult& lane) -> util::Expected<TiaResult> {
+        TiaResult result;
+        result.cutoff_freq = lane.ac.f3db_found ? lane.ac.f3db : kAcStop;
+        // Ohms (1 A AC stimulus).
+        const double z_dc = std::max(lane.ac.dc_gain, 1.0);
+        // Input-referred current noise times the feedback resistance gives
+        // the paper's Vrms-equivalent input noise figure.
+        result.input_noise =
+            lane.noise_vrms * params[l].feedback_resistance() / z_dc;
+        auto settling = tia_settling_time(params[l], card, options, &ws,
+                                          lane.op, result.cutoff_freq);
+        if (!settling.ok()) return settling.error();
+        result.settling_time = *settling;
+        result.supply_current = -lane.op.branch_i[0];
+        return result;
+      });
 }
 
 TiaParams tia_params_from_grid(const std::vector<ParamDef>& defs,

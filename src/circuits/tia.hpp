@@ -12,7 +12,6 @@
 #include "circuits/sizing_problem.hpp"
 #include "pex/parasitics.hpp"
 #include "spice/circuit.hpp"
-#include "spice/workspace.hpp"
 #include "util/expected.hpp"
 
 namespace autockt::circuits {
@@ -47,10 +46,6 @@ struct TiaBuildOptions {
   /// rebuilds the SAME netlist with a step waveform here, which is what
   /// lets the two builds share one workspace pattern by construction.
   const spice::Waveform* input_stimulus = nullptr;
-  /// Sparse reuses the per-thread topology workspace (pattern + symbolic
-  /// factorization cached across evaluations); Dense is the legacy
-  /// reference kernel for parity tests and benchmarks.
-  spice::SimKernel kernel = spice::SimKernel::Sparse;
   /// Warm-start slot threaded from the eval layer: read as the Newton
   /// stage-0 guess when valid, refreshed with the converged operating
   /// point on success.
@@ -61,18 +56,18 @@ struct TiaBuildOptions {
 spice::Circuit build_tia(const TiaParams& params, const spice::TechCard& card,
                          const TiaBuildOptions& options = {});
 
-/// Full evaluation: DC, AC, transient step response and noise analysis.
+/// Full evaluation of one design (DC, AC, noise and transient step
+/// response): a one-lane simulate_tia_batch() call.
 util::Expected<TiaResult> simulate_tia(const TiaParams& params,
                                        const spice::TechCard& card,
                                        const TiaBuildOptions& options = {});
 
-/// Batched characterization: K design points run as lanes of the batched
-/// kernel — lockstep DC Newton, batched AC and noise sweeps. The transient
-/// settling run stays scalar per lane (each lane's window and step size
-/// depend on its own measured bandwidth). Per-lane results are identical
-/// to simulate_tia(). `hints` may be empty or hold one (possibly null)
-/// hint per design; `options.hint` is ignored. The Dense kernel falls back
-/// to a scalar loop.
+/// Characterization of K design points as lanes of one pipeline
+/// (circuits/lanes.hpp): lockstep DC Newton, batched AC and noise sweeps.
+/// The transient settling run is a per-lane tail (each lane's window and
+/// step size depend on its own measured bandwidth). Per-lane results are
+/// bitwise those of a one-lane call. `hints` may be empty or hold one
+/// (possibly null) hint per design; `options.hint` is ignored.
 std::vector<util::Expected<TiaResult>> simulate_tia_batch(
     const std::vector<TiaParams>& params, const spice::TechCard& card,
     const TiaBuildOptions& options = {},

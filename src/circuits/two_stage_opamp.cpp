@@ -2,10 +2,7 @@
 
 #include <cmath>
 
-#include "circuits/sim_hint.hpp"
-#include "spice/ac.hpp"
-#include "spice/dc.hpp"
-#include "spice/measure.hpp"
+#include "circuits/lanes.hpp"
 #include "spice/units.hpp"
 
 namespace autockt::circuits {
@@ -17,14 +14,10 @@ constexpr double kChannelLengthFactor = 2.0;
 constexpr double kVcmFraction = 0.55;     // input common mode / vdd
 
 spice::DcOptions two_stage_dc_options(const spice::Circuit& ckt,
-                                      const spice::TechCard& card,
-                                      spice::SimKernel kernel,
-                                      spice::SimWorkspace* ws) {
+                                      const spice::TechCard& card) {
   using namespace spice;
   const double vcm = kVcmFraction * card.vdd;
   DcOptions dc_opt;
-  dc_opt.kernel = kernel;
-  dc_opt.workspace = ws;
   dc_opt.initial_node_v.assign(ckt.num_nodes(), 0.0);
   dc_opt.initial_node_v[ckt.node("vdd")] = card.vdd;
   dc_opt.initial_node_v[ckt.node("inp")] = vcm;
@@ -37,25 +30,15 @@ spice::DcOptions two_stage_dc_options(const spice::Circuit& ckt,
   return dc_opt;
 }
 
-spice::AcOptions two_stage_ac_options(spice::SimKernel kernel,
-                                      spice::SimWorkspace* ws) {
-  spice::AcOptions ac_opt;
-  ac_opt.kernel = kernel;
-  ac_opt.workspace = ws;
-  ac_opt.f_start = 1e2;
-  ac_opt.f_stop = 1e11;
-  ac_opt.points_per_decade = 10;
-  return ac_opt;
-}
-
-OpampResult assemble_two_stage_result(const spice::AcMeasurements& acm,
-                                      const spice::OpPoint& op) {
+OpampResult assemble_two_stage_result(std::size_t,
+                                      const LaneResult& lane) {
+  const spice::AcMeasurements& acm = lane.ac;
   OpampResult result;
   result.gain = acm.dc_gain;
   result.ugbw_found = acm.ugbw_found;
   result.ugbw = acm.ugbw_found ? acm.ugbw : 0.0;
   result.phase_margin = acm.ugbw_found ? acm.phase_margin_deg : 0.0;
-  result.bias_current = -op.branch_i[0];  // vsupply is the first source
+  result.bias_current = -lane.op.branch_i[0];  // vsupply is the first source
   return result;
 }
 }  // namespace
@@ -132,28 +115,8 @@ spice::Circuit build_two_stage(const TwoStageParams& params,
 util::Expected<OpampResult> simulate_two_stage(
     const TwoStageParams& params, const spice::TechCard& card,
     const OpampBuildOptions& options) {
-  using namespace spice;
-  Circuit ckt = build_two_stage(params, card, options);
-
-  // One workspace per (thread, topology): the stamp pattern and symbolic
-  // factorization are computed once and reused by every grid point.
-  SimWorkspace* ws = nullptr;
-  if (options.kernel == SimKernel::Sparse) {
-    ws = &workspace_for(ckt, options.parasitics != nullptr ? "two_stage_pex"
-                                                           : "two_stage");
-  }
-
-  DcOptions dc_opt = two_stage_dc_options(ckt, card, options.kernel, ws);
-  OpPoint warm;
-  apply_warm_start(options.hint, warm, dc_opt);
-  auto op = solve_op(ckt, dc_opt);
-  if (!op.ok()) return op.error();
-  refresh_hint(options.hint, *op);
-
-  const AcOptions ac_opt = two_stage_ac_options(options.kernel, ws);
-  auto sweep = ac_sweep(ckt, *op, ckt.node("out"), kGround, ac_opt);
-  if (!sweep.ok()) return sweep.error();
-  return assemble_two_stage_result(measure_ac(*sweep), *op);
+  return std::move(
+      simulate_two_stage_batch({params}, card, options, {options.hint})[0]);
 }
 
 std::vector<util::Expected<OpampResult>> simulate_two_stage_batch(
@@ -161,72 +124,28 @@ std::vector<util::Expected<OpampResult>> simulate_two_stage_batch(
     const OpampBuildOptions& options,
     const std::vector<eval::OpHint*>& hints) {
   using namespace spice;
-  const std::size_t K = params.size();
-  std::vector<util::Expected<OpampResult>> results(K, OpampResult{});
-  if (K == 0) return results;
-  const auto hint_of = [&](std::size_t l) -> eval::OpHint* {
-    return l < hints.size() ? hints[l] : nullptr;
-  };
-  if (options.kernel == SimKernel::Dense) {
-    for (std::size_t l = 0; l < K; ++l) {
-      OpampBuildOptions lane_options = options;
-      lane_options.hint = hint_of(l);
-      results[l] = simulate_two_stage(params[l], card, lane_options);
-    }
-    return results;
-  }
-
+  if (params.empty()) return {};
   std::vector<Circuit> circuits;
-  circuits.reserve(K);
+  circuits.reserve(params.size());
+  std::vector<const Circuit*> ckts;
+  std::vector<DcOptions> dc;
   for (const TwoStageParams& p : params) {
-    circuits.push_back(build_two_stage(p, card, options));
+    ckts.push_back(&circuits.emplace_back(build_two_stage(p, card, options)));
+    dc.push_back(two_stage_dc_options(circuits.back(), card));
   }
+  // One workspace per (thread, topology): the stamp pattern and symbolic
+  // factorization are computed once and reused by every grid point.
   SimWorkspace& ws = workspace_for(
       circuits.front(),
       options.parasitics != nullptr ? "two_stage_pex" : "two_stage");
-
-  std::vector<const Circuit*> ckt_ptrs(K);
-  std::vector<DcOptions> dc_opts(K);
-  std::vector<OpPoint> warm(K);
-  for (std::size_t l = 0; l < K; ++l) {
-    ckt_ptrs[l] = &circuits[l];
-    dc_opts[l] =
-        two_stage_dc_options(circuits[l], card, SimKernel::Sparse, &ws);
-    OpampBuildOptions lane_options = options;
-    lane_options.hint = hint_of(l);
-    apply_warm_start(lane_options.hint, warm[l], dc_opts[l]);
-  }
-  std::vector<util::Expected<OpPoint>> ops =
-      solve_op_batch(ckt_ptrs, dc_opts, ws);
-
-  // Compact the converged lanes into one AC batch; DC failures keep their
-  // error and never occupy an AC lane.
-  std::vector<std::size_t> ac_lanes;
-  std::vector<const Circuit*> ac_ckts;
-  std::vector<const OpPoint*> ac_ops;
-  for (std::size_t l = 0; l < K; ++l) {
-    if (!ops[l].ok()) {
-      results[l] = ops[l].error();
-      continue;
-    }
-    refresh_hint(hint_of(l), *ops[l]);
-    ac_lanes.push_back(l);
-    ac_ckts.push_back(&circuits[l]);
-    ac_ops.push_back(&*ops[l]);
-  }
-  if (ac_lanes.empty()) return results;
-  const AcOptions ac_opt = two_stage_ac_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<std::vector<AcPoint>>> sweeps = ac_sweep_batch(
-      ac_ckts, ac_ops, circuits.front().node("out"), kGround, ac_opt, ws);
-  for (std::size_t s = 0; s < ac_lanes.size(); ++s) {
-    const std::size_t l = ac_lanes[s];
-    if (!sweeps[s].ok()) {
-      results[l] = sweeps[s].error();
-      continue;
-    }
-    results[l] = assemble_two_stage_result(measure_ac(*sweeps[s]), *ops[l]);
-  }
-  return results;
+  LanePlan plan;
+  plan.ac.emplace();
+  plan.ac->f_start = 1e2;
+  plan.ac->f_stop = 1e11;
+  plan.ac->points_per_decade = 10;
+  plan.ac_probe = circuits.front().node("out");
+  return run_lanes<OpampResult>(ckts, std::move(dc), hints, plan, ws,
+                                assemble_two_stage_result);
 }
 
 TwoStageParams two_stage_params_from_grid(const std::vector<ParamDef>& defs,

@@ -20,7 +20,6 @@
 #include "circuits/sizing_problem.hpp"
 #include "pex/parasitics.hpp"
 #include "spice/circuit.hpp"
-#include "spice/workspace.hpp"
 #include "util/expected.hpp"
 
 namespace autockt::circuits {
@@ -45,10 +44,6 @@ struct OpampResult {
 
 struct OpampBuildOptions {
   const pex::ParasiticModel* parasitics = nullptr;
-  /// Sparse reuses the per-thread topology workspace (pattern + symbolic
-  /// factorization cached across evaluations); Dense is the legacy
-  /// reference kernel for parity tests and benchmarks.
-  spice::SimKernel kernel = spice::SimKernel::Sparse;
   /// Warm-start slot threaded from the eval layer: read as the Newton
   /// stage-0 guess when valid, refreshed with the converged operating
   /// point on success.
@@ -59,15 +54,16 @@ spice::Circuit build_two_stage(const TwoStageParams& params,
                                const spice::TechCard& card,
                                const OpampBuildOptions& options = {});
 
+/// One design: a one-lane simulate_two_stage_batch() call.
 util::Expected<OpampResult> simulate_two_stage(
     const TwoStageParams& params, const spice::TechCard& card,
     const OpampBuildOptions& options = {});
 
-/// Batched characterization: K design points of the same topology run as
-/// lanes of the batched kernel (lockstep DC Newton + batched AC sweep).
-/// Per-lane results are identical to simulate_two_stage(). `hints` may be
-/// empty (no warm starts) or hold one (possibly null) hint per design;
-/// `options.hint` is ignored. The Dense kernel falls back to a scalar loop.
+/// Characterization of K design points of the same topology as lanes of
+/// one pipeline (circuits/lanes.hpp: lockstep DC Newton + batched AC
+/// sweep). Per-lane results are bitwise those of a one-lane call. `hints`
+/// may be empty (no warm starts) or hold one (possibly null) hint per
+/// design; `options.hint` is ignored.
 std::vector<util::Expected<OpampResult>> simulate_two_stage_batch(
     const std::vector<TwoStageParams>& params, const spice::TechCard& card,
     const OpampBuildOptions& options = {},

@@ -10,9 +10,9 @@
 //   ThreadPoolBackend  — fans evaluate_batch() out over persistent workers
 //   CornerBackend      — parallel PVT-corner fan-out + worst-case fold
 //
-// Decorators compose: Cached(ThreadPool(Function(...))) gives a batched,
-// cached schematic problem; Cached(Corner(...)) the PEX flow. All backends
-// must be thread-safe: PPO rollout workers evaluate concurrently.
+// Decorators compose: Cached(Function(...)) over a batch simulator gives a
+// batched, cached schematic problem; Cached(Corner(...)) the PEX flow. All
+// backends must be thread-safe: PPO rollout workers evaluate concurrently.
 //
 // Batch semantics: evaluate_batch(points)[i] is exactly what evaluate
 // (points[i]) would return — backends may parallelize, deduplicate and
@@ -39,9 +39,9 @@ class EvalBackend {
   /// caller's warm-start state (see eval/types.hpp); backends thread it
   /// down to the simulator leaf and may ignore it (cache hits do).
   EvalResult evaluate(const ParamVector& params, SimHint* hint = nullptr) {
-    // One span per decorator layer: a Cached(ThreadPool(Function)) stack
-    // nests three eval/evaluate spans, so a trace shows where each lookup
-    // stopped descending.
+    // One span per decorator layer: a Cached(Function) stack nests two
+    // eval/evaluate spans, so a trace shows where each lookup stopped
+    // descending.
     trace::TraceSpan span(trace::names::kEvalEvaluate);
     return do_evaluate(params, hint);
   }

@@ -15,8 +15,9 @@
 //
 // Batch calls deduplicate: within one evaluate_batch, identical points cost
 // one simulation (first occurrence counts as the miss, duplicates as hits)
-// and the misses are forwarded below as a single smaller batch so a
-// ThreadPoolBackend / CornerBackend underneath still fans out.
+// and the misses are forwarded below as a single smaller batch, so a batch
+// leaf still runs them as lanes and a fan-out layer (CornerBackend,
+// ProcessPoolBackend) underneath still fans out.
 
 #include <cstddef>
 #include <memory>

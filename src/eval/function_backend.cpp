@@ -12,9 +12,13 @@ EvalResult FunctionBackend::do_evaluate(const ParamVector& params,
                                         SimHint* hint) {
   trace::TraceSpan span(trace::names::kEvalSimulate);
   const auto t0 = std::chrono::steady_clock::now();
+  OpHint* op_hint = hint != nullptr ? &hint->slot(0) : nullptr;
   EvalResult result = [&]() -> EvalResult {
     try {
-      return fn_(params, hint != nullptr ? &hint->slot(0) : nullptr);
+      if (batch_fn_ != nullptr) {
+        return std::move(batch_fn_({params}, {op_hint}).at(0));
+      }
+      return fn_(params, op_hint);
     } catch (const std::exception& e) {
       return util::Error{std::string("evaluator threw: ") + e.what(), -1};
     } catch (...) {

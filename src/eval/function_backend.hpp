@@ -26,14 +26,11 @@ class FunctionBackend : public EvalBackend {
   explicit FunctionBackend(HintedEvalFn fn, std::string name = "function")
       : fn_(std::move(fn)), name_(std::move(name)) {}
 
-  /// Batch-aware leaf: scalar calls go through `fn`, whole batches through
-  /// `batch_fn` as ONE batched-kernel invocation (lanes of the SoA numeric
-  /// kernel). Both callables must agree point-for-point.
-  FunctionBackend(HintedEvalFn fn, BatchEvalFn batch_fn,
-                  std::string name = "function")
-      : fn_(std::move(fn)),
-        batch_fn_(std::move(batch_fn)),
-        name_(std::move(name)) {}
+  /// Batch leaf: a whole batch is ONE `batch_fn` invocation (lanes of the
+  /// simulation pipeline) and a single point is a one-lane call of it.
+  explicit FunctionBackend(BatchEvalFn batch_fn,
+                           std::string name = "function")
+      : batch_fn_(std::move(batch_fn)), name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
 

@@ -197,14 +197,36 @@ Mlp Mlp::load(std::istream& in) {
   std::string magic;
   std::size_t n_sizes = 0;
   in >> magic >> n_sizes;
-  if (magic != "mlp" || n_sizes < 2) {
+  if (!in || magic != "mlp" || n_sizes < 2 || n_sizes > kMaxLoadLayers) {
     throw std::runtime_error("Mlp::load: bad header");
   }
+  // Bound every width and the total before anything is allocated: a
+  // negative or huge count must not reach params_.assign.
   std::vector<int> sizes(n_sizes);
-  for (auto& s : sizes) in >> s;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n_sizes; ++i) {
+    in >> sizes[i];
+    if (!in || sizes[i] < 1 || sizes[i] > kMaxLoadWidth) {
+      throw std::runtime_error("Mlp::load: bad layer size");
+    }
+    if (i > 0) {
+      total += (static_cast<std::size_t>(sizes[i - 1]) + 1) *
+               static_cast<std::size_t>(sizes[i]);
+    }
+  }
+  if (total > kMaxLoadParams) {
+    throw std::runtime_error("Mlp::load: too many parameters");
+  }
   std::string act_name;
   in >> act_name;
-  Mlp mlp(sizes, act_name == "tanh" ? Activation::Tanh : Activation::Relu, 0);
+  Activation act = Activation::Tanh;
+  if (act_name == "relu") {
+    act = Activation::Relu;
+  } else if (act_name != "tanh") {
+    throw std::runtime_error("Mlp::load: unknown activation '" + act_name +
+                             "'");
+  }
+  Mlp mlp(sizes, act, 0);
   for (double& p : mlp.params_) in >> p;
   if (!in) throw std::runtime_error("Mlp::load: truncated weights");
   return mlp;

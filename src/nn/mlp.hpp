@@ -59,9 +59,16 @@ class Mlp {
 
   std::size_t param_count() const { return params_.size(); }
 
-  /// Text serialization (architecture + weights).
+  /// Text serialization (architecture + weights). load() throws
+  /// std::runtime_error on a malformed file: a bad header, a layer count or
+  /// width outside the load limits below, an unknown activation name, or
+  /// truncated weights.
   void save(std::ostream& out) const;
   static Mlp load(std::istream& in);
+
+  static constexpr std::size_t kMaxLoadLayers = 64;
+  static constexpr int kMaxLoadWidth = 1 << 16;
+  static constexpr std::size_t kMaxLoadParams = std::size_t{1} << 26;
 
  private:
   struct Layer {

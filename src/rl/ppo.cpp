@@ -647,13 +647,29 @@ PpoAgent PpoAgent::load(std::istream& in) {
   std::string magic;
   int obs_size = 0, num_params = 0;
   in >> magic >> obs_size >> num_params;
-  if (magic != "ppo_agent") {
+  if (!in || magic != "ppo_agent" || obs_size < 1 ||
+      obs_size > nn::Mlp::kMaxLoadWidth || num_params < 1 ||
+      num_params > nn::Mlp::kMaxLoadWidth / kActions) {
     throw std::runtime_error("PpoAgent::load: bad header");
   }
   PpoConfig config;
   PpoAgent agent(obs_size, num_params, config);
   agent.policy_ = nn::Mlp::load(in);
   agent.value_ = nn::Mlp::load(in);
+  // A mismatched net would load and later read past its input.
+  if (agent.policy_.input_size() != obs_size ||
+      agent.policy_.output_size() != num_params * kActions) {
+    throw std::runtime_error("PpoAgent::load: policy does not map obs_size " +
+                             std::to_string(obs_size) + " to " +
+                             std::to_string(num_params * kActions) +
+                             " logits");
+  }
+  if (agent.value_.input_size() != obs_size ||
+      agent.value_.output_size() != 1) {
+    throw std::runtime_error(
+        "PpoAgent::load: value net does not map obs_size " +
+        std::to_string(obs_size) + " to 1");
+  }
   return agent;
 }
 

@@ -1,5 +1,6 @@
 #include "spice/ac.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -76,8 +77,16 @@ std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,
     const AcOptions& options, SimWorkspace& ws) {
   const std::size_t K = circuits.size();
-  std::vector<util::Expected<std::vector<AcPoint>>> results(
-      K, std::vector<AcPoint>{});
+  std::vector<util::Expected<std::vector<AcPoint>>> results;
+  if (K == 1) {
+    // One lane: the scalar sweep on `ws` (see solve_op_batch).
+    AcOptions one = options;
+    one.kernel = SimKernel::Sparse;
+    one.workspace = &ws;
+    results.push_back(ac_sweep(*circuits[0], *ops[0], probe_p, probe_m, one));
+    return results;
+  }
+  results.assign(K, std::vector<AcPoint>{});
   if (K == 0) return results;
   const int total =
       sweep_points(options.f_start, options.f_stop, options.points_per_decade);
@@ -97,6 +106,8 @@ std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
     ws.commit_complex_batch_lane(l);
     sweeps[l].reserve(static_cast<std::size_t>(total));
   }
+  // No lane fits `ws` (e.g. it has no complex side): nothing to factor.
+  if (std::count(live.begin(), live.end(), 1) == 0) return results;
 
   std::vector<std::complex<double>> x_lane;
   for (int i = 0; i < total; ++i) {

@@ -47,7 +47,8 @@ util::Expected<std::vector<std::complex<double>>> ac_solve_at(
 /// batched refactorization + solve across all lanes. Per-lane results are
 /// identical to ac_sweep() — a lane whose matrix goes singular gets that
 /// lane's singular error while the other lanes complete. `options.kernel`
-/// and `options.workspace` are ignored (the shared sparse `ws` is used).
+/// and `options.workspace` are ignored (the shared sparse `ws` is used). A
+/// single lane runs the scalar sweep on `ws`.
 std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,

@@ -173,6 +173,21 @@ util::Expected<OpPoint> solve_op_impl(const Circuit& circuit, Driver& driver,
   return homotopy_tail(circuit, driver, options, x0);
 }
 
+util::Error workspace_mismatch() {
+  return util::Error{"DC solve: workspace does not match the circuit", 1};
+}
+
+/// The scalar sparse solve on a caller-owned workspace.
+util::Expected<OpPoint> solve_op_on(const Circuit& circuit,
+                                    const DcOptions& options,
+                                    SimWorkspace& ws) {
+  // A stale workspace would stamp through the wrong frozen pattern; fail
+  // deterministically instead of producing plausible garbage.
+  if (!ws.compatible(circuit) || !ws.has_real()) return workspace_mismatch();
+  detail::SparseRealDriver driver{ws};
+  return solve_op_impl(circuit, driver, options);
+}
+
 }  // namespace
 
 util::Expected<OpPoint> solve_op(const Circuit& circuit,
@@ -182,14 +197,7 @@ util::Expected<OpPoint> solve_op(const Circuit& circuit,
     return solve_op_impl(circuit, driver, options);
   }
   if (options.workspace != nullptr) {
-    // A stale workspace would stamp through the wrong frozen pattern;
-    // fail deterministically instead of producing plausible garbage.
-    if (!options.workspace->compatible(circuit) ||
-        !options.workspace->has_real()) {
-      return util::Error{"DC solve: workspace does not match the circuit", 1};
-    }
-    detail::SparseRealDriver driver{*options.workspace};
-    return solve_op_impl(circuit, driver, options);
+    return solve_op_on(circuit, options, *options.workspace);
   }
   SimWorkspace scratch(circuit, SimWorkspace::Sides::Real);
   detail::SparseRealDriver driver{scratch};
@@ -200,8 +208,14 @@ std::vector<util::Expected<OpPoint>> solve_op_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<DcOptions>& options, SimWorkspace& ws) {
   const std::size_t K = circuits.size();
-  std::vector<util::Expected<OpPoint>> results(
-      K, util::Error{"DC operating point did not converge", 1});
+  std::vector<util::Expected<OpPoint>> results;
+  if (K == 1) {
+    // One lane shares its kernel passes with nobody: the scalar kernel
+    // gives the same answer without the lane bookkeeping.
+    results.push_back(solve_op_on(*circuits[0], options[0], ws));
+    return results;
+  }
+  results.assign(K, util::Error{"DC operating point did not converge", 1});
   if (K == 0) return results;
 
   // Per-lane Newton state for the lockstep stages. Stage 0 is the warm
@@ -224,8 +238,7 @@ std::vector<util::Expected<OpPoint>> solve_op_batch(
     lane.circuit = circuits[l];
     lane.opt = &options[l];
     if (!ws.compatible(*lane.circuit) || !ws.has_real()) {
-      results[l] =
-          util::Error{"DC solve: workspace does not match the circuit", 1};
+      results[l] = workspace_mismatch();
       continue;
     }
     lane.node_v.assign(lane.circuit->num_nodes(), 0.0);

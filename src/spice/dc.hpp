@@ -22,7 +22,7 @@ struct DcOptions {
   std::vector<double> initial_node_v;
 
   /// Sparse is the production path; Dense keeps the legacy allocating
-  /// partial-pivot kernel for parity tests and benchmarks.
+  /// partial-pivot kernel as the parity tests' oracle.
   SimKernel kernel = SimKernel::Sparse;
   /// Reusable workspace for the sparse kernel (one symbolic factorization
   /// per topology). A temporary workspace is built per call when null.
@@ -47,7 +47,8 @@ util::Expected<OpPoint> solve_op(const Circuit& circuit,
 /// Per-lane results, convergence outcomes and Newton iteration counts are
 /// identical to calling solve_op() per lane with `options[lane]`.
 /// `options[lane].kernel`/`workspace` are ignored (the shared `ws` is
-/// used); `warm_start` and `initial_node_v` are honoured per lane.
+/// used); `warm_start` and `initial_node_v` are honoured per lane. A single
+/// lane runs the scalar kernel on `ws`, i.e. it is solve_op() outright.
 std::vector<util::Expected<OpPoint>> solve_op_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<DcOptions>& options, SimWorkspace& ws);

@@ -1,5 +1,6 @@
 #include "spice/noise.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <optional>
@@ -106,7 +107,17 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,
     const NoiseOptions& options, SimWorkspace& ws) {
   const std::size_t K = circuits.size();
-  std::vector<util::Expected<NoiseResult>> results(K, NoiseResult{});
+  std::vector<util::Expected<NoiseResult>> results;
+  if (K == 1) {
+    // One lane: the scalar sweep on `ws` (see solve_op_batch).
+    NoiseOptions one = options;
+    one.kernel = SimKernel::Sparse;
+    one.workspace = &ws;
+    results.push_back(
+        noise_sweep(*circuits[0], *ops[0], probe_p, probe_m, one));
+    return results;
+  }
+  results.assign(K, NoiseResult{});
   if (K == 0) return results;
   const std::size_t n = ws.num_unknowns();
   const int total = detail::sweep_points(options.f_start, options.f_stop,
@@ -136,6 +147,8 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     lane_results[l].freq.reserve(static_cast<std::size_t>(total));
     lane_results[l].out_psd.reserve(static_cast<std::size_t>(total));
   }
+  // No lane fits `ws` (e.g. it has no complex side): nothing to factor.
+  if (std::count(live.begin(), live.end(), 1) == 0) return results;
 
   std::vector<NoiseSource> sources;
   std::vector<std::complex<double>> xa;

@@ -39,7 +39,8 @@ util::Expected<NoiseResult> noise_sweep(const Circuit& circuit,
 /// stimulus is common to all lanes, so every frequency point is one batched
 /// refactorization + one batched transposed solve. Per-lane results are
 /// identical to noise_sweep(). `options.kernel`/`workspace` are ignored
-/// (the shared sparse `ws` is used).
+/// (the shared sparse `ws` is used). A single lane runs the scalar sweep on
+/// `ws`.
 std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,

@@ -37,7 +37,7 @@ namespace autockt::spice {
 
 /// Linear-algebra kernel selection for the analyses. Sparse is the
 /// production path; Dense is the legacy allocate-and-pivot reference kept
-/// for the dense-vs-sparse parity tests and benchmarks.
+/// as the oracle of the dense-vs-sparse parity tests.
 enum class SimKernel { Sparse, Dense };
 
 /// Snapshot of the process-wide simulation-kernel counters. Mirrored into

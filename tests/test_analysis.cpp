@@ -225,7 +225,9 @@ TEST(CircuitLint, TopologyFindingsCarryDeckLines) {
       ".end\n");
   ASSERT_TRUE(has_id(diags, "AC103"));
   for (const auto& d : diags) {
-    if (d.id == "AC103") EXPECT_GT(d.line, 0u);
+    if (d.id == "AC103") {
+      EXPECT_GT(d.line, 0u);
+    }
   }
 }
 

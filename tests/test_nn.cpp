@@ -158,6 +158,41 @@ TEST(Mlp, LoadRejectsGarbage) {
   EXPECT_THROW(Mlp::load(ss), std::runtime_error);
 }
 
+TEST(Mlp, LoadRoundTripsRelu) {
+  Mlp mlp({2, 4, 1}, Activation::Relu, 5);
+  std::stringstream ss;
+  mlp.save(ss);
+  Mlp loaded = Mlp::load(ss);
+  const std::vector<double> x{0.3, -0.7};
+  EXPECT_EQ(mlp.forward(x), loaded.forward(x));
+}
+
+TEST(Mlp, LoadRejectsUnknownActivation) {
+  std::stringstream ss("mlp 2\n2 1\nsigmoid\n0.1 0.2 0.3\n");
+  EXPECT_THROW(Mlp::load(ss), std::runtime_error);
+}
+
+TEST(Mlp, LoadRejectsNegativeLayerSize) {
+  std::stringstream ss("mlp 2\n3 -2\ntanh\n");
+  EXPECT_THROW(Mlp::load(ss), std::runtime_error);
+}
+
+TEST(Mlp, LoadRejectsHugeLayerSize) {
+  std::stringstream ss("mlp 2\n3 2000000000\ntanh\n");
+  EXPECT_THROW(Mlp::load(ss), std::runtime_error);
+}
+
+TEST(Mlp, LoadRejectsHugeLayerCount) {
+  std::stringstream ss("mlp 4000000000\n3 2\ntanh\n");
+  EXPECT_THROW(Mlp::load(ss), std::runtime_error);
+}
+
+TEST(Mlp, LoadRejectsHugeParameterTotal) {
+  // Every width is in range, but the product is not.
+  std::stringstream ss("mlp 3\n65536 65536 2\ntanh\n");
+  EXPECT_THROW(Mlp::load(ss), std::runtime_error);
+}
+
 TEST(Adam, MinimizesQuadraticBowl) {
   // f(p) = sum (p_i - c_i)^2; Adam should converge near c.
   const std::vector<double> target{1.0, -2.0, 0.5};

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "nn/mlp.hpp"
 #include "rl/ppo.hpp"
 #include "test_helpers.hpp"
 
@@ -173,6 +177,66 @@ TEST(PpoAgent, SaveLoadRoundTrip) {
 TEST(PpoAgent, LoadRejectsGarbage) {
   std::stringstream ss("bogus");
   EXPECT_THROW(rl::PpoAgent::load(ss), std::runtime_error);
+}
+
+namespace {
+
+/// An agent file whose header claims (obs_size, num_params) but whose nets
+/// are `policy` and `value`.
+std::string agent_file(int obs_size, int num_params, const nn::Mlp& policy,
+                       const nn::Mlp& value) {
+  std::stringstream ss;
+  ss << "ppo_agent " << obs_size << " " << num_params << "\n";
+  policy.save(ss);
+  value.save(ss);
+  return ss.str();
+}
+
+nn::Mlp net(std::vector<int> sizes) {
+  return nn::Mlp(std::move(sizes), nn::Activation::Tanh, 3);
+}
+
+}  // namespace
+
+TEST(PpoAgent, LoadAcceptsMatchingNets) {
+  std::stringstream ss(agent_file(9, 3, net({9, 50, 9}), net({9, 50, 1})));
+  EXPECT_NO_THROW(rl::PpoAgent::load(ss));
+}
+
+TEST(PpoAgent, LoadRejectsBadHeaderSizes) {
+  std::stringstream ss(agent_file(-9, 3, net({9, 50, 9}), net({9, 50, 1})));
+  EXPECT_THROW(rl::PpoAgent::load(ss), std::runtime_error);
+}
+
+TEST(PpoAgent, LoadRejectsPolicyInputMismatch) {
+  std::stringstream ss(agent_file(8, 3, net({9, 50, 9}), net({8, 50, 1})));
+  EXPECT_THROW(rl::PpoAgent::load(ss), std::runtime_error);
+}
+
+TEST(PpoAgent, LoadRejectsPolicyOutputMismatch) {
+  // num_params = 4 needs 12 logits; the policy emits 9.
+  std::stringstream ss(agent_file(9, 4, net({9, 50, 9}), net({9, 50, 1})));
+  EXPECT_THROW(rl::PpoAgent::load(ss), std::runtime_error);
+}
+
+TEST(PpoAgent, LoadRejectsValueInputMismatch) {
+  std::stringstream ss(agent_file(9, 3, net({9, 50, 9}), net({7, 50, 1})));
+  EXPECT_THROW(rl::PpoAgent::load(ss), std::runtime_error);
+}
+
+TEST(PpoAgent, LoadRejectsValueOutputMismatch) {
+  std::stringstream ss(agent_file(9, 3, net({9, 50, 9}), net({9, 50, 2})));
+  EXPECT_THROW(rl::PpoAgent::load(ss), std::runtime_error);
+}
+
+TEST(PpoAgent, LoadsShippedDeployAgent) {
+  // The frozen ngm_ota agent the end-to-end benchmark deploys.
+  std::ifstream in(std::string(AUTOCKT_SOURCE_DIR) +
+                   "/e2ebench/data/ngm_ota_agent.txt");
+  ASSERT_TRUE(in);
+  const auto agent = rl::PpoAgent::load(in);
+  EXPECT_EQ(agent.obs_size(), 13);
+  EXPECT_EQ(agent.num_params(), 7);
 }
 
 TEST(PpoConfig, ValidateRejectsNonpositiveRolloutShape) {

@@ -178,6 +178,29 @@ TEST(Trace, CharacterizationCountsAreDeterministic) {
   EXPECT_GT(first.at(trace::names::kSimSolveComplex), 0);
 }
 
+TEST(Trace, SinglePointRunsAsOneLaneOnTheDefaultStack) {
+  // The factory-default schematic stack is Cached(Function): a cache miss
+  // nests two eval/evaluate spans, and its one-lane batch runs the scalar
+  // kernel (no batched factorization).
+  if (!compiled_in_or_skip()) GTEST_SKIP() << "trace layer compiled out";
+  RecorderGuard guard;
+  const auto prob = circuits::make_tia_problem();
+  auto point = prob.center_params();
+  ASSERT_TRUE(prob.evaluate(point).ok());  // warm the workspace
+  point[0] += 1;
+
+  auto& rec = trace::recorder();
+  rec.set_enabled(true);
+  ASSERT_TRUE(prob.evaluate(point).ok());
+  rec.set_enabled(false);
+  auto counts = rec.counts_by_name();
+  EXPECT_EQ(counts[trace::names::kEvalEvaluate], 2);
+  EXPECT_EQ(counts[trace::names::kEvalSimulate], 1);
+  EXPECT_GT(counts[trace::names::kSimFactorComplex], 0);
+  EXPECT_EQ(counts[trace::names::kSimFactorRealBatch], 0);
+  EXPECT_EQ(counts[trace::names::kSimFactorComplexBatch], 0);
+}
+
 TEST(Trace, TrainingCountsAreDeterministic) {
   if (!compiled_in_or_skip()) GTEST_SKIP() << "trace layer compiled out";
   RecorderGuard guard;
