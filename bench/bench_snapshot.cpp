@@ -1,6 +1,7 @@
 // bench_snapshot: the perf-trajectory capture tool. Runs a fixed set of
 // self-timed micro workloads (mirroring bench_micro_sim / bench_micro_eval
-// cache without needing Google Benchmark) plus fixed-seed deterministic
+// cache without needing Google Benchmark, plus the PPO update minibatch,
+// policy inference and the Adam step) plus fixed-seed deterministic
 // counter workloads (a short synthetic PPO run, a warm-started kernel
 // characterization loop, a cache-hit loop, a traced evaluation loop), and
 // writes one normalized BENCH_<context>.json snapshot:
@@ -41,6 +42,7 @@
 #include "circuits/two_stage_opamp.hpp"
 #include "env/vector_env.hpp"
 #include "eval/types.hpp"
+#include "nn/mlp.hpp"
 #include "spec/target_sampler.hpp"
 #include "spice/workspace.hpp"
 #include "trace/names.hpp"
@@ -196,6 +198,90 @@ BenchRow tia_characterize_batch(int lanes, int reps) {
       });
   row.ns_per_op /= static_cast<double>(lanes);
   return row;
+}
+
+// ---- neural-network workloads -----------------------------------------------
+// The PPO nets at the two-stage op-amp's real shapes: observation width and
+// parameter count come from the problem's environment.
+
+struct PpoNets {
+  int obs;
+  nn::Mlp policy;
+  nn::Mlp value;
+};
+
+PpoNets two_stage_nets() {
+  auto problem = std::make_shared<const circuits::SizingProblem>(
+      circuits::make_two_stage_problem(raw_options()));
+  const env::SizingEnv env(problem, env::EnvConfig{});
+  const int obs = env.obs_size();
+  const int logits = static_cast<int>(problem->params.size()) *
+                     env::SizingEnv::kActionsPerParam;
+  return {obs,
+          nn::Mlp({obs, 50, 50, 50, logits}, nn::Activation::Tanh, 1, 0.01),
+          nn::Mlp({obs, 50, 50, 50, 1}, nn::Activation::Tanh, 2)};
+}
+
+std::vector<double> uniform_rows(std::size_t n, std::uint64_t seed,
+                                 double scale) {
+  util::Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = scale * rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+/// One PPO update minibatch: 256 rows through policy and value in the
+/// update's 64-row chunks (forward_trace_batch + backward_batch), then an
+/// Adam step per net, serially on one thread.
+BenchRow ppo_update_minibatch(int reps) {
+  constexpr int kRows = 256;
+  constexpr int kChunk = 64;
+  PpoNets nets = two_stage_nets();
+  nn::Mlp& policy = nets.policy;
+  nn::Mlp& value = nets.value;
+  nn::Adam opt_policy(policy.param_count(), 3e-4);
+  nn::Adam opt_value(value.param_count(), 1e-3);
+  const std::size_t obs = static_cast<std::size_t>(nets.obs);
+  const auto x = uniform_rows(kRows * obs, 5, 1.0);
+  const auto d_policy = uniform_rows(
+      kRows * static_cast<std::size_t>(policy.output_size()), 6, 1e-3);
+  const auto d_value = uniform_rows(kRows, 7, 1e-3);
+  auto policy_trace = policy.batch_trace(kChunk);
+  auto value_trace = value.batch_trace(kChunk);
+  const auto minibatch = [&](nn::Mlp& net, nn::Mlp::BatchTrace& trace,
+                             nn::Adam& opt, const std::vector<double>& d) {
+    const std::size_t out = static_cast<std::size_t>(net.output_size());
+    net.zero_grad();
+    for (std::size_t r = 0; r < kRows; r += kChunk) {
+      net.forward_trace_batch(x.data() + r * obs, kChunk, trace);
+      net.backward_batch(trace, d.data() + r * out);
+    }
+    opt.step(net.params(), net.grads());
+  };
+  return time_bench("ppo_update_minibatch256", reps, [&](int) {
+    minibatch(policy, policy_trace, opt_policy, d_policy);
+    minibatch(value, value_trace, opt_value, d_value);
+  });
+}
+
+/// Rollout inference: one 16-row policy forward_batch.
+BenchRow policy_forward16(int reps) {
+  const PpoNets nets = two_stage_nets();
+  const auto x = uniform_rows(16 * static_cast<std::size_t>(nets.obs), 8, 1.0);
+  volatile double sink = 0.0;
+  return time_bench("policy_forward16", reps, [&](int) {
+    sink = sink + nets.policy.forward_batch(x, 16)[0];
+  });
+}
+
+/// One Adam step over the policy's parameters.
+BenchRow adam_step_policy(int reps) {
+  PpoNets nets = two_stage_nets();
+  nn::Adam adam(nets.policy.param_count(), 3e-4);
+  const std::vector<double> grads(nets.policy.param_count(), 1e-3);
+  return time_bench("adam_step_policy", reps, [&](int) {
+    adam.step(nets.policy.params(), grads);
+  });
 }
 
 // ---- deterministic counter workloads ---------------------------------------
@@ -397,6 +483,9 @@ int main(int argc, char** argv) {
     benches.push_back(time_bench("spec_sample_uniform", reps(20000),
                                  [&](int) { sampler.sample(rng); }));
   }
+  benches.push_back(ppo_update_minibatch(reps(40)));
+  benches.push_back(policy_forward16(reps(400)));
+  benches.push_back(adam_step_policy(reps(2000)));
 
   CounterRows counters;
   training_counters(counters);

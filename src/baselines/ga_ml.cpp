@@ -38,22 +38,33 @@ void train_discriminator(nn::Mlp& disc, nn::Adam& opt,
   if (xs.empty()) return;
   std::vector<std::size_t> order(xs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  constexpr std::size_t kBatch = 32;
+  constexpr int kBatch = 32;
+  // Each minibatch runs as one batch pass; backward_batch adds its rows'
+  // gradients in row order, as a row-at-a-time loop would.
+  const std::size_t width = static_cast<std::size_t>(disc.input_size());
+  nn::Mlp::BatchTrace trace = disc.batch_trace(kBatch);
+  std::vector<double> x(kBatch * width);
+  std::vector<double> d_out(kBatch);
   for (int e = 0; e < epochs; ++e) {
     for (std::size_t i = order.size(); i-- > 1;) {
       std::swap(order[i], order[rng.bounded(i + 1)]);
     }
     for (std::size_t start = 0; start < order.size(); start += kBatch) {
       const std::size_t stop = std::min(start + kBatch, order.size());
-      const double inv_b = 1.0 / static_cast<double>(stop - start);
-      disc.zero_grad();
-      for (std::size_t k = start; k < stop; ++k) {
-        const std::size_t idx = order[k];
-        nn::Mlp::Trace trace = disc.forward_trace(xs[idx]);
-        const double z = trace.output[0];
-        const double sig = 1.0 / (1.0 + std::exp(-z));
-        disc.backward(trace, {(sig - ys[idx]) * inv_b});
+      const int rows = static_cast<int>(stop - start);
+      const double inv_b = 1.0 / static_cast<double>(rows);
+      for (int r = 0; r < rows; ++r) {
+        const std::vector<double>& xr = xs[order[start + r]];
+        std::copy(xr.begin(), xr.end(), x.begin() + r * width);
       }
+      disc.zero_grad();
+      disc.forward_trace_batch(x.data(), rows, trace);
+      for (int r = 0; r < rows; ++r) {
+        const double z = trace.output()[r];
+        const double sig = 1.0 / (1.0 + std::exp(-z));
+        d_out[r] = (sig - ys[order[start + r]]) * inv_b;
+      }
+      disc.backward_batch(trace, d_out.data());
       opt.step(disc.params(), disc.grads());
     }
   }

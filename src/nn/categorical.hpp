@@ -3,6 +3,7 @@
 // head: each circuit parameter gets an independent 3-way (decrement / hold /
 // increment) softmax over a slice of the policy network's output.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -11,42 +12,68 @@
 
 namespace autockt::nn {
 
+/// Numerically stable softmax of logits[0, k) into probs[0, k).
+inline void softmax_into(const double* logits, std::size_t k, double* probs) {
+  double max_logit = logits[0];
+  for (std::size_t i = 1; i < k; ++i) {
+    max_logit = std::max(max_logit, logits[i]);
+  }
+  double sum = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    probs[i] = std::exp(logits[i] - max_logit);
+    sum += probs[i];
+  }
+  for (std::size_t i = 0; i < k; ++i) probs[i] /= sum;
+}
+
 /// Numerically stable softmax of logits[offset, offset+k).
 inline std::vector<double> softmax_slice(const std::vector<double>& logits,
                                          std::size_t offset, std::size_t k) {
-  double max_logit = logits[offset];
-  for (std::size_t i = 1; i < k; ++i) {
-    max_logit = std::max(max_logit, logits[offset + i]);
-  }
   std::vector<double> probs(k);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    probs[i] = std::exp(logits[offset + i] - max_logit);
-    sum += probs[i];
-  }
-  for (double& p : probs) p /= sum;
+  softmax_into(logits.data() + offset, k, probs.data());
   return probs;
+}
+
+inline int sample_categorical(const double* probs, std::size_t k,
+                              util::Rng& rng) {
+  const double u = rng.uniform();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    acc += probs[i];
+    if (u < acc) return static_cast<int>(i);
+  }
+  return static_cast<int>(k) - 1;
 }
 
 inline int sample_categorical(const std::vector<double>& probs,
                               util::Rng& rng) {
-  const double u = rng.uniform();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    acc += probs[i];
-    if (u < acc) return static_cast<int>(i);
-  }
-  return static_cast<int>(probs.size()) - 1;
+  return sample_categorical(probs.data(), probs.size(), rng);
 }
 
-inline int argmax(const std::vector<double>& probs) {
+inline int argmax(const double* probs, std::size_t k) {
   int best = 0;
-  for (std::size_t i = 1; i < probs.size(); ++i) {
+  for (std::size_t i = 1; i < k; ++i) {
     if (probs[i] > probs[static_cast<std::size_t>(best)]) {
       best = static_cast<int>(i);
     }
   }
   return best;
+}
+
+inline int argmax(const std::vector<double>& probs) {
+  return argmax(probs.data(), probs.size());
+}
+
+inline double entropy(const double* probs, std::size_t k) {
+  double h = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (probs[i] > 1e-12) h -= probs[i] * std::log(probs[i]);
+  }
+  return h;
+}
+
+inline double entropy(const std::vector<double>& probs) {
+  return entropy(probs.data(), probs.size());
 }
 
 // ---- batched factored heads -------------------------------------------------
@@ -65,15 +92,15 @@ inline std::vector<int> sample_heads_batch(const std::vector<double>& logits,
   std::vector<int> actions(static_cast<std::size_t>(rows) *
                            static_cast<std::size_t>(heads));
   if (logps) logps->assign(static_cast<std::size_t>(rows), 0.0);
-  const std::size_t stride =
-      static_cast<std::size_t>(heads) * static_cast<std::size_t>(k);
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const std::size_t stride = static_cast<std::size_t>(heads) * kk;
+  std::vector<double> probs(kk);  // one head's softmax, reused
   for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
     double logp = 0.0;
     for (int h = 0; h < heads; ++h) {
-      const auto probs = softmax_slice(
-          logits, r * stride + static_cast<std::size_t>(h * k),
-          static_cast<std::size_t>(k));
-      const int a = sample_categorical(probs, *rngs[r]);
+      const std::size_t off = r * stride + static_cast<std::size_t>(h) * kk;
+      softmax_into(logits.data() + off, kk, probs.data());
+      const int a = sample_categorical(probs.data(), kk, *rngs[r]);
       actions[r * static_cast<std::size_t>(heads) +
               static_cast<std::size_t>(h)] = a;
       logp += std::log(std::max(probs[static_cast<std::size_t>(a)], 1e-12));
@@ -88,26 +115,18 @@ inline std::vector<int> argmax_heads_batch(const std::vector<double>& logits,
                                            int rows, int heads, int k) {
   std::vector<int> actions(static_cast<std::size_t>(rows) *
                            static_cast<std::size_t>(heads));
-  const std::size_t stride =
-      static_cast<std::size_t>(heads) * static_cast<std::size_t>(k);
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const std::size_t stride = static_cast<std::size_t>(heads) * kk;
+  std::vector<double> probs(kk);  // one head's softmax, reused
   for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
     for (int h = 0; h < heads; ++h) {
-      const auto probs = softmax_slice(
-          logits, r * stride + static_cast<std::size_t>(h * k),
-          static_cast<std::size_t>(k));
+      const std::size_t off = r * stride + static_cast<std::size_t>(h) * kk;
+      softmax_into(logits.data() + off, kk, probs.data());
       actions[r * static_cast<std::size_t>(heads) +
-              static_cast<std::size_t>(h)] = argmax(probs);
+              static_cast<std::size_t>(h)] = argmax(probs.data(), kk);
     }
   }
   return actions;
-}
-
-inline double entropy(const std::vector<double>& probs) {
-  double h = 0.0;
-  for (double p : probs) {
-    if (p > 1e-12) h -= p * std::log(p);
-  }
-  return h;
 }
 
 }  // namespace autockt::nn

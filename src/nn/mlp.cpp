@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -84,30 +85,17 @@ std::vector<double> Mlp::forward_batch(const std::vector<double>& x,
     throw std::invalid_argument("Mlp::forward_batch: bad batch shape");
   }
   const std::size_t n = static_cast<std::size_t>(rows);
-  std::vector<double> cur = x;
-  std::vector<double> next;
+  // Ping-pong between two buffers; layer 0 reads the caller's rows.
+  std::vector<double> even, odd;
+  const double* cur = x.data();
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const Layer& layer = layers_[li];
-    const std::size_t in = static_cast<std::size_t>(layer.in);
-    const std::size_t out = static_cast<std::size_t>(layer.out);
-    next.resize(n * out);  // every element is written below
-    const bool last = li + 1 == layers_.size();
-    // GEMM loop order (o, r, i): the o-th weight row streams once from
-    // params_ and is reused across all batch rows; the inner i-loop keeps
-    // the exact accumulation order of the single-row forward().
-    for (std::size_t o = 0; o < out; ++o) {
-      const double* w = params_.data() + layer.w_off + o * in;
-      const double b = params_[layer.b_off + o];
-      for (std::size_t r = 0; r < n; ++r) {
-        const double* xr = cur.data() + r * in;
-        double acc = b;
-        for (std::size_t i = 0; i < in; ++i) acc += w[i] * xr[i];
-        next[r * out + o] = last ? acc : activate(acc);
-      }
-    }
-    cur.swap(next);
+    std::vector<double>& next = li % 2 == 0 ? even : odd;
+    next.resize(n * static_cast<std::size_t>(layers_[li].out));
+    layer_forward(layers_[li], li + 1 == layers_.size(), cur, rows,
+                  next.data());
+    cur = next.data();
   }
-  return cur;
+  return layers_.size() % 2 == 1 ? std::move(even) : std::move(odd);
 }
 
 Mlp::Trace Mlp::forward_trace(const std::vector<double>& x) const {
@@ -180,6 +168,193 @@ std::vector<double> Mlp::backward(const Trace& trace,
     d_cur.swap(d_in);
   }
   return d_cur;
+}
+
+// ---- row-blocked batch kernels ----------------------------------------------
+// Every batch entry point runs on these. A forward pass loads each weight
+// once for kRowBlock rows and each input once for kOutBlock outputs, so it
+// carries kRowBlock * kOutBlock independent accumulator chains where
+// forward() carries one; each chain still adds in forward()'s order. The
+// gradient kernels keep kColBlock running sums in registers while the rows
+// stream past, adding the rows in order.
+
+namespace {
+
+constexpr int kRowBlock = 4;
+constexpr int kOutBlock = 2;
+constexpr int kColBlock = 8;
+
+/// acc[k][j] = b[k] + sum_i w[k * in + i] * xr[j][i], summed in i order:
+/// forward()'s pre-activation of output k for row j.
+template <int K>
+void dot_block(const double* w, const double* b, std::size_t in,
+               const double* const (&xr)[kRowBlock],
+               double (&acc)[K][kRowBlock]) {
+  for (int k = 0; k < K; ++k) {
+    for (int j = 0; j < kRowBlock; ++j) acc[k][j] = b[k];
+  }
+  for (std::size_t i = 0; i < in; ++i) {
+    for (int k = 0; k < K; ++k) {
+      const double wk = w[static_cast<std::size_t>(k) * in + i];
+      for (int j = 0; j < kRowBlock; ++j) acc[k][j] += wk * xr[j][i];
+    }
+  }
+}
+
+/// gw[c] += g[r * g_stride] * x[r * x_stride + c] for c < W, rows in order:
+/// backward()'s weight-gradient update, one row at a time.
+template <int W>
+void grad_block(double* gw, const double* g, std::size_t g_stride,
+                const double* x, std::size_t x_stride, int rows) {
+  double s[W];
+  for (int c = 0; c < W; ++c) s[c] = gw[c];
+  for (int r = 0; r < rows; ++r) {
+    const double gr = g[static_cast<std::size_t>(r) * g_stride];
+    const double* xr = x + static_cast<std::size_t>(r) * x_stride;
+    for (int c = 0; c < W; ++c) s[c] += gr * xr[c];
+  }
+  for (int c = 0; c < W; ++c) gw[c] = s[c];
+}
+
+/// d[c] = sum_o g[o] * w[o * in + c] for c < W, from 0.0 in o order:
+/// backward()'s dLoss/dInput for one row.
+template <int W>
+void input_grad_block(double* d, const double* g, std::size_t out,
+                      const double* w, std::size_t in) {
+  double s[W] = {};
+  for (std::size_t o = 0; o < out; ++o) {
+    const double go = g[o];
+    const double* wo = w + o * in;
+    for (int c = 0; c < W; ++c) s[c] += go * wo[c];
+  }
+  for (int c = 0; c < W; ++c) d[c] = s[c];
+}
+
+}  // namespace
+
+void Mlp::layer_forward(const Layer& layer, bool last, const double* x,
+                        int rows, double* y) const {
+  const std::size_t in = static_cast<std::size_t>(layer.in);
+  const std::size_t out = static_cast<std::size_t>(layer.out);
+  const double* w = params_.data() + layer.w_off;
+  const double* b = params_.data() + layer.b_off;
+  for (int r0 = 0; r0 < rows; r0 += kRowBlock) {
+    // A short last block repeats its final row in the spare lanes and
+    // drops them at the store, so every block runs the same code.
+    const int n = std::min(kRowBlock, rows - r0);
+    const double* xr[kRowBlock];
+    for (int j = 0; j < kRowBlock; ++j) {
+      xr[j] = x + static_cast<std::size_t>(r0 + std::min(j, n - 1)) * in;
+    }
+    double* yb = y + static_cast<std::size_t>(r0) * out;
+    const auto store = [&](std::size_t o, const double (&acc)[kRowBlock]) {
+      for (int j = 0; j < n; ++j) {
+        yb[static_cast<std::size_t>(j) * out + o] =
+            last ? acc[j] : activate(acc[j]);
+      }
+    };
+    std::size_t o = 0;
+    for (; o + kOutBlock <= out; o += kOutBlock) {
+      double acc[kOutBlock][kRowBlock];
+      dot_block<kOutBlock>(w + o * in, b + o, in, xr, acc);
+      for (int k = 0; k < kOutBlock; ++k) store(o + k, acc[k]);
+    }
+    for (; o < out; ++o) {
+      double acc[1][kRowBlock];
+      dot_block<1>(w + o * in, b + o, in, xr, acc);
+      store(o, acc[0]);
+    }
+  }
+}
+
+Mlp::BatchTrace Mlp::batch_trace(int capacity) const {
+  if (capacity < 0) {
+    throw std::invalid_argument("Mlp::batch_trace: negative capacity");
+  }
+  const std::size_t cap = static_cast<std::size_t>(capacity);
+  BatchTrace trace;
+  trace.capacity = capacity;
+  for (int width : sizes_) {
+    trace.acts.emplace_back(cap * static_cast<std::size_t>(width), 0.0);
+  }
+  const int widest = *std::max_element(sizes_.begin() + 1, sizes_.end());
+  trace.delta.assign(cap * static_cast<std::size_t>(widest), 0.0);
+  trace.delta_below.assign(cap * static_cast<std::size_t>(widest), 0.0);
+  return trace;
+}
+
+void Mlp::forward_trace_batch(const double* x, int rows,
+                              BatchTrace& trace) const {
+  bool fits = rows >= 0 && rows <= trace.capacity &&
+              trace.acts.size() == sizes_.size();
+  for (std::size_t l = 0; fits && l < sizes_.size(); ++l) {
+    fits = trace.acts[l].size() == static_cast<std::size_t>(trace.capacity) *
+                                       static_cast<std::size_t>(sizes_[l]);
+  }
+  if (!fits) {
+    throw std::invalid_argument(
+        "Mlp::forward_trace_batch: trace does not fit this net and batch");
+  }
+  std::copy(x, x + static_cast<std::size_t>(rows) * sizes_.front(),
+            trace.acts.front().begin());
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    layer_forward(layers_[li], li + 1 == layers_.size(),
+                  trace.acts[li].data(), rows, trace.acts[li + 1].data());
+  }
+  trace.rows = rows;
+}
+
+void Mlp::backward_batch(BatchTrace& trace, const double* d_output,
+                         double* d_input) {
+  const int rows = trace.rows;
+  // dLoss/d(pre-activation) of the current layer, rows x layer.out; the
+  // output layer is linear, so it starts as the caller's d_output.
+  const double* delta = d_output;
+  for (std::size_t li = layers_.size(); li-- > 0;) {
+    const Layer& layer = layers_[li];
+    const std::size_t in = static_cast<std::size_t>(layer.in);
+    const std::size_t out = static_cast<std::size_t>(layer.out);
+    const double* x = trace.acts[li].data();
+
+    for (std::size_t o = 0; o < out; ++o) {
+      double* gw = grads_.data() + layer.w_off + o * in;
+      std::size_t c = 0;
+      for (; c + kColBlock <= in; c += kColBlock) {
+        grad_block<kColBlock>(gw + c, delta + o, out, x + c, in, rows);
+      }
+      for (; c < in; ++c) {
+        grad_block<1>(gw + c, delta + o, out, x + c, in, rows);
+      }
+      double& gb = grads_[layer.b_off + o];
+      for (int r = 0; r < rows; ++r) {
+        gb += delta[static_cast<std::size_t>(r) * out + o];
+      }
+    }
+
+    if (li == 0 && d_input == nullptr) break;
+    double* below = li == 0 ? d_input : trace.delta_below.data();
+    const double* w = params_.data() + layer.w_off;
+    for (int r = 0; r < rows; ++r) {
+      const double* g = delta + static_cast<std::size_t>(r) * out;
+      double* d = below + static_cast<std::size_t>(r) * in;
+      std::size_t c = 0;
+      for (; c + kColBlock <= in; c += kColBlock) {
+        input_grad_block<kColBlock>(d + c, g, out, w + c, in);
+      }
+      for (; c < in; ++c) input_grad_block<1>(d + c, g, out, w + c, in);
+    }
+    if (li == 0) break;
+    // Through the activation below, from its cached post-activations (for
+    // tanh, d act/d pre = 1 - a^2; for relu, 1[a > 0]), as backward() does.
+    const std::size_t n = static_cast<std::size_t>(rows) * in;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double a = x[k];
+      below[k] *=
+          act_ == Activation::Tanh ? (1.0 - a * a) : (a > 0.0 ? 1.0 : 0.0);
+    }
+    trace.delta.swap(trace.delta_below);
+    delta = trace.delta.data();
+  }
 }
 
 void Mlp::zero_grad() { std::fill(grads_.begin(), grads_.end(), 0.0); }

@@ -33,9 +33,9 @@ class Mlp {
 
   /// Batched thread-safe inference: `x` holds `rows` input vectors stacked
   /// row-major (rows * input_size values); returns rows * output_size,
-  /// row-major. One matrix–matrix pass per layer, reusing each weight row
-  /// across the whole batch; per-row accumulation order is identical to
-  /// forward(), so row i equals forward(row i) bitwise.
+  /// row-major. Runs the row-blocked layer kernel (several rows per pass
+  /// on independent accumulators, each adding in forward()'s order), so
+  /// row i equals forward(row i) bitwise.
   std::vector<double> forward_batch(const std::vector<double>& x,
                                     int rows) const;
 
@@ -50,6 +50,35 @@ class Mlp {
   /// recorded in `trace`. Returns dLoss/dInput.
   std::vector<double> backward(const Trace& trace,
                                const std::vector<double>& d_output);
+
+  /// Activations of one forward_trace_batch() pass plus the scratch its
+  /// backward_batch() needs, all row-major. Made once by batch_trace() for
+  /// up to `capacity` rows; the batch calls then never allocate.
+  struct BatchTrace {
+    int capacity = 0;
+    int rows = 0;  // rows recorded by the last forward_trace_batch()
+    /// acts[l] holds the input to layer l; acts.back() the network output.
+    std::vector<std::vector<double>> acts;
+    std::vector<double> delta, delta_below;  // dLoss/d(pre-activation)
+    const double* output() const { return acts.back().data(); }
+  };
+  BatchTrace batch_trace(int capacity) const;
+
+  /// Batched forward_trace(): `x` holds `rows` inputs row-major. Row r of
+  /// trace.output() equals forward_trace(row r).output bitwise. Throws
+  /// std::invalid_argument unless `trace` came from this net's (or a
+  /// same-shaped net's) batch_trace() with capacity >= rows.
+  void forward_trace_batch(const double* x, int rows, BatchTrace& trace) const;
+
+  /// Batched backward() for the pass recorded in `trace`, with the
+  /// parameters unchanged since: `d_output` holds trace.rows rows of
+  /// dLoss/dOutput. Each weight and bias gradient adds its rows' terms in
+  /// row order onto the existing gradient, so the result equals calling
+  /// backward() row by row bitwise. When `d_input` is non-null it receives
+  /// trace.rows rows of dLoss/dInput (backward()'s return values); null
+  /// skips that product.
+  void backward_batch(BatchTrace& trace, const double* d_output,
+                      double* d_input = nullptr);
 
   void zero_grad();
 
@@ -78,6 +107,11 @@ class Mlp {
 
   double activate(double v) const;
   double activate_grad(double pre) const;
+
+  /// y = act(W x + b) for `rows` row-major inputs; the one kernel behind
+  /// forward_batch() and forward_trace_batch().
+  void layer_forward(const Layer& layer, bool last, const double* x, int rows,
+                     double* y) const;
 
   std::vector<int> sizes_;
   Activation act_;

@@ -1,13 +1,15 @@
 #include "rl/ppo.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <future>
+#include <exception>
 #include <istream>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <ostream>
+#include <semaphore>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -48,6 +50,124 @@ void clip_grad_norm(std::vector<double>& grads, double max_norm) {
     for (double& g : grads) g *= scale;
   }
 }
+
+/// Rows per pass of the batched update. A minibatch runs through each net
+/// in chunks of this many rows, so a chunk's activations stay cache-resident
+/// whatever the minibatch size.
+constexpr int kUpdateChunk = 64;
+
+/// What both nets' update passes read: the collected transitions, their
+/// advantages and returns, and every epoch's shuffle (epochs x size()
+/// indices), all drawn before the passes start and never written during
+/// them.
+struct UpdateBatch {
+  const std::vector<const Transition*>& steps;
+  const std::vector<double>& advantages;
+  const std::vector<double>& returns;
+  const std::vector<std::size_t>& orders;
+};
+
+/// One net's update scratch, sized once per train() call.
+struct NetScratch {
+  NetScratch(const nn::Mlp& net, int chunk_rows)
+      : x(static_cast<std::size_t>(chunk_rows) *
+          static_cast<std::size_t>(net.input_size())),
+        d_out(static_cast<std::size_t>(chunk_rows) *
+              static_cast<std::size_t>(net.output_size())),
+        trace(net.batch_trace(chunk_rows)) {}
+  std::vector<double> x;      // the chunk's observations, row-major
+  std::vector<double> d_out;  // the chunk's dLoss/dOutput rows
+  nn::Mlp::BatchTrace trace;
+};
+
+/// Every epoch's minibatches of `batch` through `net`: each minibatch
+/// zeroes the gradients, runs its rows in kUpdateChunk-row chunks (gather
+/// the observations, forward_trace_batch, `chunk_loss` fills dLoss/dOutput,
+/// backward_batch), then clips and takes one optimizer step. Parameters are
+/// fixed within a minibatch and backward_batch adds rows in order, so the
+/// gradients equal a row-at-a-time loop over the minibatch bitwise.
+/// chunk_loss(idx, rows, inv_b, output, d_out) sees the chunk's batch
+/// indices idx[0, rows). Allocates nothing.
+template <class ChunkLoss>
+void train_net(nn::Mlp& net, nn::Adam& opt, NetScratch& scratch,
+               const UpdateBatch& batch, const PpoConfig& config,
+               ChunkLoss&& chunk_loss) {
+  const std::size_t n = batch.steps.size();
+  const std::size_t minibatch = static_cast<std::size_t>(config.minibatch);
+  const std::size_t width = static_cast<std::size_t>(net.input_size());
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    const std::size_t* order =
+        batch.orders.data() + static_cast<std::size_t>(epoch) * n;
+    for (std::size_t start = 0; start < n; start += minibatch) {
+      const std::size_t stop = std::min(start + minibatch, n);
+      const double inv_b = 1.0 / static_cast<double>(stop - start);
+      net.zero_grad();
+      for (std::size_t k = start; k < stop;
+           k += static_cast<std::size_t>(kUpdateChunk)) {
+        const int rows = static_cast<int>(
+            std::min(static_cast<std::size_t>(kUpdateChunk), stop - k));
+        for (int r = 0; r < rows; ++r) {
+          const std::vector<double>& obs = batch.steps[order[k + r]]->obs;
+          std::copy(obs.begin(), obs.end(), scratch.x.data() + r * width);
+        }
+        net.forward_trace_batch(scratch.x.data(), rows, scratch.trace);
+        chunk_loss(order + k, rows, inv_b, scratch.trace.output(),
+                   scratch.d_out.data());
+        net.backward_batch(scratch.trace, scratch.d_out.data());
+      }
+      clip_grad_norm(net.grads(), config.max_grad_norm);
+      opt.step(net.params(), net.grads());
+    }
+  }
+}
+
+/// A thread that runs `pass` each time start() is called; wait() blocks
+/// until that run is done and rethrows what it threw. It is started once
+/// and woken per use, not started per use: every thread attaches to a
+/// glibc malloc arena at its first allocator call (at the latest, when it
+/// exits and frees its start state), and a thread per use raced the exits
+/// of its predecessors for arenas, leaving one more arena of freed
+/// collection memory resident.
+class PassThread {
+ public:
+  explicit PassThread(std::function<void()> pass)
+      : pass_(std::move(pass)), thread_([this] { run(); }) {}
+  PassThread(const PassThread&) = delete;
+  PassThread& operator=(const PassThread&) = delete;
+  ~PassThread() {
+    quit_ = true;
+    go_.release();
+  }  // thread_ joins here, before the other members go
+
+  void start() { go_.release(); }
+  void wait() {
+    done_.acquire();
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+
+ private:
+  void run() {
+    for (;;) {
+      go_.acquire();
+      if (quit_) return;
+      try {
+        pass_();
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+      done_.release();
+    }
+  }
+
+  std::function<void()> pass_;
+  std::counting_semaphore<> go_{0};
+  std::counting_semaphore<> done_{0};
+  // Atomic: a destructor running between start() and the pass (on an
+  // exception path) sets it while the helper may be reading it.
+  std::atomic<bool> quit_{false};
+  std::exception_ptr error_;  // the last pass's exception, if any
+  std::jthread thread_;  // last: starts once every member above exists
+};
 
 }  // namespace
 
@@ -279,6 +399,38 @@ TrainHistory PpoAgent::train(
   const std::size_t obs_width = static_cast<std::size_t>(obs_size_);
   long cumulative_steps = 0;
   int patience_hits = 0;
+  const int lane_quota =
+      (config_.steps_per_iteration + total_lanes - 1) / total_lanes;
+
+  // Update scratch, allocated here once: the update itself allocates
+  // nothing. A lane halts at the first episode end at or past its quota,
+  // so it collects at most lane_quota - 1 + horizon steps.
+  const int chunk_rows = std::min(kUpdateChunk, config_.minibatch);
+  NetScratch policy_scratch(policy_, chunk_rows);
+  NetScratch value_scratch(value_, chunk_rows);
+  std::vector<double> head_probs(
+      static_cast<std::size_t>(num_params_ * kActions));
+  const std::size_t max_lane_steps = static_cast<std::size_t>(
+      lane_quota - 1 + std::max(stats_probe.config().horizon, 1));
+  std::vector<std::size_t> orders;
+  orders.reserve(static_cast<std::size_t>(config_.epochs) *
+                 static_cast<std::size_t>(total_lanes) * max_lane_steps);
+  // The value net's update pass: it shares only the read-only batch and
+  // shuffles with the policy's, so it runs on a helper thread beside it.
+  const UpdateBatch* pass_batch = nullptr;
+  double value_loss_acc = 0.0;
+  PassThread value_pass([&] {
+    value_loss_acc = 0.0;
+    train_net(value_, opt_value, value_scratch, *pass_batch, config_,
+              [&](const std::size_t* idx, int rows, double inv_b,
+                  const double* v, double* d_v) {
+                for (int r = 0; r < rows; ++r) {
+                  const double err = v[r] - pass_batch->returns[idx[r]];
+                  value_loss_acc += 0.5 * err * err;
+                  d_v[r] = err * inv_b;
+                }
+              });
+  });
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     trace::TraceSpan iteration_span(trace::names::kRlIteration);
@@ -289,8 +441,6 @@ TrainHistory PpoAgent::train(
     // global lane order, and each lane collects a fixed per-lane step
     // quota, so the episode set depends only on (seed, total_lanes) — not
     // on the worker split or thread scheduling.
-    const int lane_quota =
-        (config_.steps_per_iteration + total_lanes - 1) / total_lanes;
     std::vector<std::vector<Episode>> lane_episodes(
         static_cast<std::size_t>(total_lanes));
     // Episode outcomes (target, goal_met) buffered per global lane. They
@@ -340,9 +490,25 @@ TrainHistory PpoAgent::train(
       // Scratch for the per-tick batches over the still-running lanes.
       std::vector<int> act_lanes;
       std::vector<double> rows;
+      int n = 0;
       std::vector<util::Rng*> rngs;
       std::vector<double> logps;
       std::vector<std::vector<int>> actions(static_cast<std::size_t>(L));
+      // The tick's value estimates, computed into preallocated buffers.
+      // They are consumed only after the env step (GAE needs them with the
+      // step's reward), and the value net is a pure read of frozen weights
+      // with no RNG — so with pipelining on, one helper per worker computes
+      // them while step_all() drives the simulator. A thread per tick
+      // instead would race its own exit for a malloc arena every tick.
+      nn::Mlp::BatchTrace value_trace = value_.batch_trace(L);
+      std::vector<double> values(static_cast<std::size_t>(L));
+      const auto infer_values = [&] {
+        value_.forward_trace_batch(rows.data(), n, value_trace);
+        std::copy(value_trace.output(), value_trace.output() + n,
+                  values.begin());
+      };
+      std::optional<PassThread> value_helper;
+      if (config_.pipeline_inference) value_helper.emplace(infer_values);
 
       while (venv.running_count() > 0) {
         act_lanes.clear();
@@ -355,7 +521,7 @@ TrainHistory PpoAgent::train(
           rows.insert(rows.end(), o.begin(), o.end());
           rngs.push_back(&venv.lane_rng(i));
         }
-        const int n = static_cast<int>(act_lanes.size());
+        n = static_cast<int>(act_lanes.size());
         const std::vector<int> acts =
             act_sample_batch(rows, n, rngs, &logps);
 
@@ -369,23 +535,17 @@ TrainHistory PpoAgent::train(
           ++lane_steps[li];
         }
 
-        // The value estimates are consumed only after the env step (GAE
-        // needs them with the step's reward), and value_batch() is a pure
-        // read of frozen weights with no RNG — so with pipelining on, it
-        // overlaps the simulator instead of serializing in front of it.
-        std::vector<double> values;
         std::vector<env::VectorSizingEnv::LaneStep> results;
         const auto continue_lane = [&](int i) {
           return lane_steps[static_cast<std::size_t>(i)] < lane_quota;
         };
-        if (config_.pipeline_inference) {
+        if (value_helper) {
           trace::TraceSpan overlap_span(trace::names::kRlPipelineOverlap);
-          std::future<std::vector<double>> pending_values = std::async(
-              std::launch::async, [&] { return value_batch(rows, n); });
+          value_helper->start();
           results = venv.step_all(actions, continue_lane);
-          values = pending_values.get();
+          value_helper->wait();
         } else {
-          values = value_batch(rows, n);
+          infer_values();
           results = venv.step_all(actions, continue_lane);
         }
 
@@ -490,98 +650,95 @@ TrainHistory PpoAgent::train(
     }
 
     // ---- 3. Clipped-surrogate updates -----------------------------------
+    // Every epoch's shuffle is drawn here, in the master-stream order of a
+    // per-epoch Fisher-Yates pass. The two nets then share nothing but
+    // these read-only inputs, so the value net trains on a helper thread
+    // beside the policy; each pass's arithmetic and order are fixed, so
+    // the result does not depend on scheduling.
+    const std::size_t n = batch.size();
+    orders.resize(static_cast<std::size_t>(config_.epochs) * n);
+    for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+      std::size_t* order = orders.data() + static_cast<std::size_t>(epoch) * n;
+      if (epoch == 0) {
+        std::iota(order, order + n, std::size_t{0});
+      } else {
+        std::copy(order - n, order, order);
+      }
+      for (std::size_t i = n; i-- > 1;) {
+        std::swap(order[i], order[master_rng.bounded(i + 1)]);
+      }
+    }
+    const UpdateBatch update_batch{batch, advantages, returns, orders};
+    const long loss_terms = static_cast<long>(config_.epochs) *
+                            static_cast<long>(n);
     double policy_loss_acc = 0.0;
-    double value_loss_acc = 0.0;
     double entropy_acc = 0.0;
-    long loss_terms = 0;
-
-    std::vector<std::size_t> order(batch.size());
-    std::iota(order.begin(), order.end(), 0);
 
     // Scoped via optional: the update span must close before the holdout
     // probe below opens its own top-level span.
     std::optional<trace::TraceSpan> update_span;
     update_span.emplace(trace::names::kRlUpdate);
-    for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-      // Fisher-Yates shuffle with the master stream.
-      for (std::size_t i = order.size(); i-- > 1;) {
-        std::swap(order[i], order[master_rng.bounded(i + 1)]);
-      }
-      for (std::size_t start = 0; start < order.size();
-           start += static_cast<std::size_t>(config_.minibatch)) {
-        const std::size_t stop = std::min(
-            start + static_cast<std::size_t>(config_.minibatch), order.size());
-        const double inv_b = 1.0 / static_cast<double>(stop - start);
+    pass_batch = &update_batch;
+    value_pass.start();
+    const std::size_t logit_width =
+        static_cast<std::size_t>(num_params_ * kActions);
+    const auto policy_chunk = [&](const std::size_t* idx, int rows,
+                                  double inv_b, const double* logits,
+                                  double* d_logits) {
+      std::fill(d_logits,
+                d_logits + static_cast<std::size_t>(rows) * logit_width,
+                0.0);
+      double* probs = head_probs.data();
+      for (int r = 0; r < rows; ++r) {
+        const Transition& tr = *batch[idx[r]];
+        const double adv = advantages[idx[r]];
+        const double* z = logits + static_cast<std::size_t>(r) * logit_width;
+        double* dz = d_logits + static_cast<std::size_t>(r) * logit_width;
 
-        policy_.zero_grad();
-        value_.zero_grad();
-
-        for (std::size_t k = start; k < stop; ++k) {
-          const std::size_t idx = order[k];
-          const Transition& tr = *batch[idx];
-          const double adv = advantages[idx];
-
-          // Policy pass.
-          nn::Mlp::Trace trace = policy_.forward_trace(tr.obs);
-          double logp_new = 0.0;
-          std::vector<std::vector<double>> head_probs(
-              static_cast<std::size_t>(num_params_));
-          for (int h = 0; h < num_params_; ++h) {
-            head_probs[static_cast<std::size_t>(h)] = nn::softmax_slice(
-                trace.output, static_cast<std::size_t>(h) * kActions,
-                kActions);
-            logp_new += std::log(std::max(
-                head_probs[static_cast<std::size_t>(h)]
-                          [static_cast<std::size_t>(
+        double logp_new = 0.0;
+        for (int h = 0; h < num_params_; ++h) {
+          const std::size_t off = static_cast<std::size_t>(h) * kActions;
+          nn::softmax_into(z + off, kActions, probs + off);
+          logp_new += std::log(std::max(
+              probs[off + static_cast<std::size_t>(
                               tr.action[static_cast<std::size_t>(h)])],
-                1e-12));
-          }
-          const double ratio = std::exp(logp_new - tr.logp);
-          const double unclipped = ratio * adv;
-          const double clipped =
-              std::clamp(ratio, 1.0 - config_.clip, 1.0 + config_.clip) * adv;
-          policy_loss_acc += -std::min(unclipped, clipped);
-
-          // dLoss/dlogp: active only when the unclipped branch is selected.
-          const double dlogp =
-              unclipped <= clipped ? -ratio * adv * inv_b : 0.0;
-
-          std::vector<double> d_logits(
-              static_cast<std::size_t>(num_params_ * kActions), 0.0);
-          for (int h = 0; h < num_params_; ++h) {
-            const auto& probs = head_probs[static_cast<std::size_t>(h)];
-            const double ent = nn::entropy(probs);
-            entropy_acc += ent;
-            const std::size_t off = static_cast<std::size_t>(h) * kActions;
-            for (int j = 0; j < kActions; ++j) {
-              const double p = probs[static_cast<std::size_t>(j)];
-              const double onehot =
-                  tr.action[static_cast<std::size_t>(h)] == j ? 1.0 : 0.0;
-              double g = dlogp * (onehot - p);
-              // Entropy bonus:
-              //   Loss -= c_H * H  =>  dLoss/dz += c_H * p (log p + H).
-              g += config_.entropy_coef * inv_b * p *
-                   (std::log(std::max(p, 1e-12)) + ent);
-              d_logits[off + static_cast<std::size_t>(j)] += g;
-            }
-          }
-          policy_.backward(trace, d_logits);
-
-          // Value pass.
-          nn::Mlp::Trace vtrace = value_.forward_trace(tr.obs);
-          const double v = vtrace.output[0];
-          const double err = v - returns[idx];
-          value_loss_acc += 0.5 * err * err;
-          value_.backward(vtrace, {err * inv_b});
-          ++loss_terms;
+              1e-12));
         }
+        const double ratio = std::exp(logp_new - tr.logp);
+        const double unclipped = ratio * adv;
+        const double clipped =
+            std::clamp(ratio, 1.0 - config_.clip, 1.0 + config_.clip) * adv;
+        policy_loss_acc += -std::min(unclipped, clipped);
 
-        clip_grad_norm(policy_.grads(), config_.max_grad_norm);
-        clip_grad_norm(value_.grads(), config_.max_grad_norm);
-        opt_policy.step(policy_.params(), policy_.grads());
-        opt_value.step(value_.params(), value_.grads());
+        // dLoss/dlogp: active only when the unclipped branch is selected.
+        const double dlogp = unclipped <= clipped ? -ratio * adv * inv_b : 0.0;
+
+        for (int h = 0; h < num_params_; ++h) {
+          const std::size_t off = static_cast<std::size_t>(h) * kActions;
+          const double ent = nn::entropy(probs + off, kActions);
+          entropy_acc += ent;
+          for (int j = 0; j < kActions; ++j) {
+            const double p = probs[off + static_cast<std::size_t>(j)];
+            const double onehot =
+                tr.action[static_cast<std::size_t>(h)] == j ? 1.0 : 0.0;
+            double g = dlogp * (onehot - p);
+            // Entropy bonus:
+            //   Loss -= c_H * H  =>  dLoss/dz += c_H * p (log p + H).
+            g += config_.entropy_coef * inv_b * p *
+                 (std::log(std::max(p, 1e-12)) + ent);
+            dz[off + static_cast<std::size_t>(j)] += g;
+          }
+        }
       }
+    };
+    try {
+      train_net(policy_, opt_policy, policy_scratch, update_batch, config_,
+                policy_chunk);
+    } catch (...) {
+      value_pass.wait();  // it reads this iteration's batch
+      throw;
     }
+    value_pass.wait();
     update_span.reset();
 
     // ---- 4. Bookkeeping and early stop -----------------------------------

@@ -67,11 +67,11 @@ struct PpoConfig {
   std::uint64_t seed = 1;
 
   /// Overlap value-network inference with env simulation during collection:
-  /// each tick's value_batch() (needed only after the env step, for GAE)
-  /// runs on a helper thread while step_all() drives the simulator. The
-  /// value net is read-only during collection and uses no RNG, so the
-  /// overlap is bitwise-deterministic; it pipelines the two dominant
-  /// per-tick costs instead of serializing them.
+  /// each tick's value estimates (needed only after the env step, for GAE)
+  /// are computed on a per-worker helper thread while step_all() drives the
+  /// simulator. The value net is read-only during collection and uses no
+  /// RNG, so the overlap is bitwise-deterministic; it pipelines the two
+  /// dominant per-tick costs instead of serializing them.
   bool pipeline_inference = true;
 
   /// Throws std::invalid_argument on nonpositive worker/lane counts or

@@ -143,6 +143,83 @@ TEST(Mlp, GradAccumulatesAcrossBackwardCalls) {
   for (double g : mlp.grads()) EXPECT_EQ(g, 0.0);
 }
 
+// ---------------------------------------------------------- batch kernels
+// forward_trace_batch + backward_batch against the per-row reference loop
+// (forward_trace + backward, one row at a time): outputs, every weight and
+// bias gradient and dLoss/dInput must be bitwise-equal, for row counts on
+// both sides of the kernel's row blocks and the update's 64-row chunks, and
+// gradients must accumulate onto existing non-zero values exactly as the
+// per-row loop does.
+class MlpBatchKernel
+    : public ::testing::TestWithParam<std::tuple<int, Activation>> {};
+
+TEST_P(MlpBatchKernel, MatchesPerRowReferenceBitwise) {
+  const auto& [rows, act] = GetParam();
+  const std::vector<int> sizes{18, 50, 50, 50, 21};
+  const std::size_t in = 18, out = 21;
+  Mlp batched(sizes, act, 41);
+  Mlp serial(sizes, act, 41);
+  Mlp no_d_input(sizes, act, 41);
+  Rng rng(static_cast<std::uint64_t>(rows));
+  const auto existing =
+      random_vec(static_cast<int>(batched.param_count()), rng, 0.1);
+  batched.grads() = existing;
+  serial.grads() = existing;
+  no_d_input.grads() = existing;
+  const auto x = random_vec(rows * static_cast<int>(in), rng);
+  const auto dy = random_vec(rows * static_cast<int>(out), rng);
+
+  // Capacity above the row count: a trace is reused for short batches.
+  auto trace = batched.batch_trace(rows + 3);
+  batched.forward_trace_batch(x.data(), rows, trace);
+  std::vector<double> d_input(static_cast<std::size_t>(rows) * in);
+  batched.backward_batch(trace, dy.data(), d_input.data());
+  auto trace2 = no_d_input.batch_trace(rows);
+  no_d_input.forward_trace_batch(x.data(), rows, trace2);
+  no_d_input.backward_batch(trace2, dy.data());
+
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    const std::vector<double> xr(x.begin() + static_cast<long>(r * in),
+                                 x.begin() + static_cast<long>((r + 1) * in));
+    const std::vector<double> dyr(
+        dy.begin() + static_cast<long>(r * out),
+        dy.begin() + static_cast<long>((r + 1) * out));
+    const Mlp::Trace reference = serial.forward_trace(xr);
+    for (std::size_t o = 0; o < out; ++o) {
+      ASSERT_EQ(trace.output()[r * out + o], reference.output[o])
+          << "row " << r << " output " << o;
+    }
+    const auto d_in = serial.backward(reference, dyr);
+    for (std::size_t i = 0; i < in; ++i) {
+      ASSERT_EQ(d_input[r * in + i], d_in[i]) << "row " << r << " input " << i;
+    }
+  }
+  for (std::size_t p = 0; p < serial.param_count(); ++p) {
+    ASSERT_EQ(batched.grads()[p], serial.grads()[p]) << "param " << p;
+    ASSERT_EQ(no_d_input.grads()[p], serial.grads()[p]) << "param " << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, MlpBatchKernel,
+    ::testing::Combine(::testing::Values(1, 3, 4, 5, 63, 64, 65, 256),
+                       ::testing::Values(Activation::Tanh, Activation::Relu)));
+
+TEST(MlpBatchTrace, RejectsTraceThatDoesNotFit) {
+  Mlp mlp({4, 8, 2}, Activation::Tanh, 1);
+  Mlp other({4, 9, 2}, Activation::Tanh, 1);
+  const std::vector<double> x(4 * 3, 0.5);
+  auto small = mlp.batch_trace(2);
+  EXPECT_THROW(mlp.forward_trace_batch(x.data(), 3, small),
+               std::invalid_argument);
+  auto foreign = other.batch_trace(3);
+  EXPECT_THROW(mlp.forward_trace_batch(x.data(), 3, foreign),
+               std::invalid_argument);
+  EXPECT_THROW(mlp.batch_trace(-1), std::invalid_argument);
+  auto fits = mlp.batch_trace(3);
+  EXPECT_NO_THROW(mlp.forward_trace_batch(x.data(), 3, fits));
+}
+
 TEST(Mlp, SaveLoadRoundTrip) {
   Mlp mlp({3, 10, 2}, Activation::Tanh, 11);
   std::stringstream ss;

@@ -315,6 +315,50 @@ TEST(PpoAgent, TrajectoriesInvariantUnderWorkerLaneSplit) {
   }
 }
 
+TEST(PpoAgent, PipelinedInferenceMatchesInline) {
+  // Collection's value estimates come from a per-worker helper thread when
+  // pipelined and from the worker itself otherwise; both must train the
+  // same agent bit for bit. A 100-row minibatch also runs the update's
+  // short 36-row chunk.
+  auto prob = synth();
+  env::EnvConfig env_config;
+  env_config.horizon = 10;
+
+  auto run = [&](bool pipelined, std::string* saved) {
+    env::SizingEnv probe(prob, env_config);
+    rl::PpoConfig config = small_config();
+    config.max_iterations = 3;
+    config.minibatch = 100;
+    config.pipeline_inference = pipelined;
+    rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
+    util::Rng rng(7);
+    const auto targets = env::sample_targets(*prob, 10, rng);
+    const auto history = agent.train(
+        [prob, env_config] { return env::SizingEnv(prob, env_config); },
+        targets);
+    std::ostringstream out;
+    agent.save(out);
+    *saved = out.str();
+    return history;
+  };
+
+  std::string saved_pipelined, saved_inline;
+  const auto pipelined = run(true, &saved_pipelined);
+  const auto inline_values = run(false, &saved_inline);
+  ASSERT_EQ(pipelined.iterations.size(), inline_values.iterations.size());
+  for (std::size_t i = 0; i < pipelined.iterations.size(); ++i) {
+    const auto& a = pipelined.iterations[i];
+    const auto& b = inline_values.iterations[i];
+    EXPECT_EQ(a.cumulative_env_steps, b.cumulative_env_steps);
+    EXPECT_EQ(a.mean_episode_reward, b.mean_episode_reward);
+    EXPECT_EQ(a.goal_rate, b.goal_rate);
+    EXPECT_EQ(a.policy_loss, b.policy_loss);
+    EXPECT_EQ(a.value_loss, b.value_loss);
+    EXPECT_EQ(a.entropy, b.entropy);
+  }
+  EXPECT_EQ(saved_pipelined, saved_inline);
+}
+
 // ---- spec-scenario training (TrainOptions: sampler + holdout suite) --------
 
 TEST(PpoAgent, SamplerApiMatchesLegacyTargetListBitwise) {

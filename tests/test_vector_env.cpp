@@ -239,24 +239,29 @@ TEST(VectorSizingEnv, BatchesFlowThroughTheBackend) {
 // ---- batched MLP inference --------------------------------------------------
 
 TEST(ForwardBatch, MatchesSerialForwardLoop) {
-  nn::Mlp mlp({7, 50, 50, 50, 21}, nn::Activation::Tanh, 11);
-  util::Rng rng(3);
-  const int rows = 16;
-  std::vector<double> x(static_cast<std::size_t>(rows) * 7);
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
+  // Row counts on both sides of the kernel's 4-row blocks (1, 3 and 5
+  // leave a short tail block; 16 has none; 17 has a single-row tail).
+  for (const auto act : {nn::Activation::Tanh, nn::Activation::Relu}) {
+    nn::Mlp mlp({7, 50, 50, 50, 21}, act, 11);
+    for (const int rows : {1, 3, 5, 16, 17}) {
+      util::Rng rng(3 + static_cast<std::uint64_t>(rows));
+      std::vector<double> x(static_cast<std::size_t>(rows) * 7);
+      for (double& v : x) v = rng.uniform(-1.0, 1.0);
 
-  const auto batched = mlp.forward_batch(x, rows);
-  ASSERT_EQ(batched.size(), static_cast<std::size_t>(rows) * 21);
-  for (int r = 0; r < rows; ++r) {
-    const std::vector<double> row(x.begin() + r * 7, x.begin() + (r + 1) * 7);
-    const auto serial = mlp.forward(row);
-    for (int o = 0; o < 21; ++o) {
-      EXPECT_NEAR(batched[static_cast<std::size_t>(r * 21 + o)],
-                  serial[static_cast<std::size_t>(o)], 1e-12);
-      // Designed to be not just close but bitwise-identical (same
-      // accumulation order), which is what keeps trajectories exact.
-      EXPECT_EQ(batched[static_cast<std::size_t>(r * 21 + o)],
-                serial[static_cast<std::size_t>(o)]);
+      const auto batched = mlp.forward_batch(x, rows);
+      ASSERT_EQ(batched.size(), static_cast<std::size_t>(rows) * 21);
+      for (int r = 0; r < rows; ++r) {
+        const std::vector<double> row(x.begin() + r * 7,
+                                      x.begin() + (r + 1) * 7);
+        const auto serial = mlp.forward(row);
+        for (int o = 0; o < 21; ++o) {
+          // Designed to be not just close but bitwise-identical (same
+          // accumulation order), which is what keeps trajectories exact.
+          EXPECT_EQ(batched[static_cast<std::size_t>(r * 21 + o)],
+                    serial[static_cast<std::size_t>(o)])
+              << "rows " << rows << " row " << r << " output " << o;
+        }
+      }
     }
   }
 }
