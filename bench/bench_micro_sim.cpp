@@ -24,14 +24,11 @@
 
 using namespace autockt;
 
-/// Full-eval benches measure the raw simulator: strip the memo cache and
-/// fan-out layers the factories add by default (bench_micro_eval_cache
-/// measures those).
+/// Full-eval benches measure the raw simulator: strip the memo cache the
+/// factories add by default (bench_snapshot's eval_cache_hit measures it).
 static circuits::ProblemOptions raw_options() {
   circuits::ProblemOptions options;
   options.cache = false;
-  options.parallel_batch = false;
-  options.parallel_corners = false;
   return options;
 }
 

@@ -1,7 +1,7 @@
 // bench_snapshot: the perf-trajectory capture tool. Runs a fixed set of
-// self-timed micro workloads (mirroring bench_micro_sim / bench_micro_eval
-// cache without needing Google Benchmark, plus the PPO update minibatch,
-// policy inference and the Adam step) plus fixed-seed deterministic
+// self-timed micro workloads (mirroring bench_micro_sim without needing
+// Google Benchmark, plus a PEX batch, the PPO update minibatch, policy
+// inference and the Adam step) plus fixed-seed deterministic
 // counter workloads (a short synthetic PPO run, a warm-started kernel
 // characterization loop, a cache-hit loop, a traced evaluation loop), and
 // writes one normalized BENCH_<context>.json snapshot:
@@ -55,12 +55,10 @@ using namespace autockt;
 namespace {
 
 /// Mirrors bench_micro_sim: full-eval workloads measure the raw simulator,
-/// not the memo cache / fan-out layers (eval_cache_hit measures those).
+/// not the memo cache (eval_cache_hit measures that).
 circuits::ProblemOptions raw_options() {
   circuits::ProblemOptions options;
   options.cache = false;
-  options.parallel_batch = false;
-  options.parallel_corners = false;
   return options;
 }
 
@@ -197,6 +195,26 @@ BenchRow tia_characterize_batch(int lanes, int reps) {
         }
       });
   row.ns_per_op /= static_cast<double>(lanes);
+  return row;
+}
+
+/// 16 uncached PEX points through evaluate_batch: every PVT corner of every
+/// point is a lane of one 48-lane call, then the worst-case fold. Reported
+/// per point, like e2ebench's pex.eval_us_per_point probe.
+BenchRow pex_eval_batch16(int reps) {
+  const auto prob = circuits::make_ngm_pex_problem(raw_options());
+  util::Rng rng(42);
+  std::vector<eval::ParamVector> points(16);
+  for (auto& p : points) {
+    for (const auto& def : prob.params) {
+      p.push_back(static_cast<int>(
+          rng.bounded(static_cast<std::uint64_t>(def.grid_size()))));
+    }
+  }
+  BenchRow row = time_bench("pex_eval_batch16", reps, [&](int) {
+    prob.evaluate_batch(points);
+  });
+  row.ns_per_op /= static_cast<double>(points.size());
   return row;
 }
 
@@ -448,6 +466,7 @@ int main(int argc, char** argv) {
   // batched-kernel speedup (the PR 9 acceptance bar is >= 2x at 16 lanes).
   benches.push_back(two_stage_characterize_batch(16, reps(4)));
   benches.push_back(tia_characterize_batch(16, reps(4)));
+  benches.push_back(pex_eval_batch16(reps(4)));
 
   {
     const auto prob = circuits::make_tia_problem(raw_options());

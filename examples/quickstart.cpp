@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
 
   // --- 4. The evaluation backend keeps the books --------------------------
   // Training + deployment share one backend stack (memo cache over the
-  // batch pool over the simulator), so repeat visits to grid points are
+  // batch simulator), so repeat visits to grid points are
   // free and every simulator invocation is accounted for.
   std::printf("\ntraining eval stats:   %s\n",
               outcome.history.eval_stats.summary().c_str());

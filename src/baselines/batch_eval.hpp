@@ -2,7 +2,7 @@
 // Internal shared machinery for the GA-family baselines: the serial-protocol
 // batch evaluator. Generations are simulated through the problem's
 // evaluation backend in whole-population evaluate_batch() calls (the
-// backend may fan out over threads and dedup repeated genes), but
+// backend may run them as lanes, shard them and dedup repeated genes), but
 // individuals are *scored* in the historical one-at-a-time order, stopping
 // at the first satisfying individual or the eval budget — so GaResult is
 // bit-identical to the serial loop for a fixed seed. Both run_ga and

@@ -140,25 +140,27 @@ util::Expected<NgmResult> simulate_ngm_ota(const NgmParams& params,
                                            const spice::TechCard& card,
                                            const NgmBuildOptions& options) {
   return std::move(
-      simulate_ngm_ota_batch({params}, card, options, {options.hint})[0]);
+      simulate_ngm_ota_batch({params}, {card}, options, {options.hint})[0]);
 }
 
 std::vector<util::Expected<NgmResult>> simulate_ngm_ota_batch(
-    const std::vector<NgmParams>& params, const spice::TechCard& card,
-    const NgmBuildOptions& options, const std::vector<eval::OpHint*>& hints) {
+    const std::vector<NgmParams>& params,
+    const std::vector<spice::TechCard>& cards, const NgmBuildOptions& options,
+    const std::vector<eval::OpHint*>& hints) {
   using namespace spice;
   if (params.empty()) return {};
   std::vector<Circuit> circuits;
   circuits.reserve(params.size());
   std::vector<const Circuit*> ckts;
   std::vector<DcOptions> dc;
-  for (const NgmParams& p : params) {
-    ckts.push_back(&circuits.emplace_back(build_ngm_ota(p, card, options)));
-    dc.push_back(ngm_dc_options(circuits.back(), card));
+  for (std::size_t l = 0; l < params.size(); ++l) {
+    ckts.push_back(&circuits.emplace_back(
+        build_ngm_ota(params[l], cards.at(l), options)));
+    dc.push_back(ngm_dc_options(circuits.back(), cards[l]));
   }
   // One workspace per (thread, topology): pattern + symbolic factorization
-  // amortize across every grid point (and every PVT corner, which shares
-  // the topology).
+  // amortize across every grid point and every PVT corner, which shares
+  // the topology.
   SimWorkspace& ws = workspace_for(
       circuits.front(),
       options.parasitics != nullptr ? "ngm_ota_pex" : "ngm_ota");

@@ -58,10 +58,14 @@ util::Expected<NgmResult> simulate_ngm_ota(const NgmParams& params,
 
 /// Characterization of K design points as lanes of one pipeline
 /// (circuits/lanes.hpp: lockstep DC Newton + batched AC sweep); per-lane
-/// results are bitwise those of a one-lane call. `hints` may be empty or
-/// hold one (possibly null) hint per design; `options.hint` is ignored.
+/// results are bitwise those of a one-lane call. `cards[l]` is lane l's
+/// technology card: PVT corners differ only in their card, so they share
+/// the topology's workspace and run as lanes of one call. `hints` may be
+/// empty or hold one (possibly null) hint per design; `options.hint` is
+/// ignored.
 std::vector<util::Expected<NgmResult>> simulate_ngm_ota_batch(
-    const std::vector<NgmParams>& params, const spice::TechCard& card,
+    const std::vector<NgmParams>& params,
+    const std::vector<spice::TechCard>& cards,
     const NgmBuildOptions& options = {},
     const std::vector<eval::OpHint*>& hints = {});
 

@@ -7,11 +7,9 @@
 #include "circuits/tia.hpp"
 #include "circuits/two_stage_opamp.hpp"
 #include "eval/cached_backend.hpp"
-#include "eval/corner_backend.hpp"
 #include "eval/disk_log_store.hpp"
 #include "eval/function_backend.hpp"
 #include "eval/process_pool_backend.hpp"
-#include "eval/threaded_backend.hpp"
 #include "spice/workspace.hpp"
 #include "util/fmt.hpp"
 
@@ -50,43 +48,10 @@ pex::ParasiticModel transfer_parasitics() {
   return pm;
 }
 
-/// Memo cache goes outermost so hits never touch the pool (or the worker
-/// processes) below. With cache_path set the memo is a DiskLogStore — a
-/// failed open (fingerprint mismatch, unwritable directory) throws: a
-/// persistent cache silently serving the wrong problem would be far worse
-/// than failing construction.
-std::shared_ptr<eval::EvalBackend> wrap_cache(
-    std::shared_ptr<eval::EvalBackend> backend, const ProblemOptions& options,
-    std::uint64_t cache_fingerprint) {
-  if (!options.cache) return backend;
-  if (!options.cache_path.empty()) {
-    auto store = eval::DiskLogStore::open(options.cache_path,
-                                          cache_fingerprint);
-    if (!store.ok()) throw std::runtime_error(store.error().message);
-    return std::make_shared<eval::CachedBackend>(std::move(backend),
-                                                 store.value());
-  }
-  return std::make_shared<eval::CachedBackend>(std::move(backend));
-}
-
-/// Fork the leaf across worker processes. The factory runs in each CHILD
-/// after fork, so the per-worker stack (and any threads it wants) is born
-/// there; the parent-side stack above this layer never blocks on a child's
-/// survival — crash handling lives inside ProcessPoolBackend.
-std::shared_ptr<eval::EvalBackend> wrap_process_pool(
-    eval::ProcessPoolBackend::InnerFactory factory, const std::string& name,
-    const ProblemOptions& options) {
-  eval::ProcessPoolBackend::Options popts;
-  popts.workers = options.eval_workers;
-  popts.inner_name = name;
-  popts.leaf_stats = kernel_leaf_stats;
-  return std::make_shared<eval::ProcessPoolBackend>(std::move(factory),
-                                                    popts);
-}
-
 /// A builtin problem's one evaluator: grid points map to design parameters,
 /// the circuit's `_batch` simulator runs them as lanes, and each lane's
-/// result maps to its spec vector.
+/// result maps to its spec vector. A simulator may run several lanes per
+/// point (PEX: one per corner); the result then has one entry per lane.
 template <typename ToParams, typename Simulate, typename ToSpecs>
 eval::BatchEvalFn batch_evaluator(ToParams to_params, Simulate simulate,
                                   ToSpecs to_specs) {
@@ -138,22 +103,43 @@ std::uint64_t problem_fingerprint(const std::string& name,
 
 std::shared_ptr<eval::EvalBackend> make_standard_backend(
     eval::BatchEvalFn batch_fn, const std::string& name,
-    const ProblemOptions& options, std::uint64_t cache_fingerprint) {
+    const ProblemOptions& options, std::uint64_t cache_fingerprint,
+    std::size_t sims_per_point) {
   std::shared_ptr<eval::EvalBackend> backend;
   if (options.eval_workers > 0) {
-    // Distributed stack: Cache(ProcessPool(worker: Function leaf)). Each
-    // worker's shard of a batch still runs as lockstep lanes.
-    backend = wrap_process_pool(
-        [batch_fn = std::move(batch_fn),
-         name]() -> std::shared_ptr<eval::EvalBackend> {
-          return std::make_shared<eval::FunctionBackend>(batch_fn, name);
+    // Distributed stack: Cache(ProcessPool(worker: Function leaf)). The
+    // factory runs in each CHILD after fork, so the leaf is born there, and
+    // each worker's shard of a batch still runs as lockstep lanes. Crash
+    // handling lives inside ProcessPoolBackend.
+    eval::ProcessPoolBackend::Options popts;
+    popts.workers = options.eval_workers;
+    popts.inner_name = name;
+    popts.leaf_stats = kernel_leaf_stats;
+    backend = std::make_shared<eval::ProcessPoolBackend>(
+        [batch_fn = std::move(batch_fn), name,
+         sims_per_point]() -> std::shared_ptr<eval::EvalBackend> {
+          return std::make_shared<eval::FunctionBackend>(batch_fn, name,
+                                                         sims_per_point);
         },
-        name, options);
+        popts);
   } else {
-    backend =
-        std::make_shared<eval::FunctionBackend>(std::move(batch_fn), name);
+    backend = std::make_shared<eval::FunctionBackend>(std::move(batch_fn),
+                                                      name, sims_per_point);
   }
-  return wrap_cache(std::move(backend), options, cache_fingerprint);
+  if (!options.cache) return backend;
+  // The memo cache goes outermost so hits never reach the workers or the
+  // simulator. With cache_path set the memo is a DiskLogStore — a failed
+  // open (fingerprint mismatch, unwritable directory) throws: a persistent
+  // cache silently serving the wrong problem would be far worse than
+  // failing construction.
+  if (!options.cache_path.empty()) {
+    auto store = eval::DiskLogStore::open(options.cache_path,
+                                          cache_fingerprint);
+    if (!store.ok()) throw std::runtime_error(store.error().message);
+    return std::make_shared<eval::CachedBackend>(std::move(backend),
+                                                 store.value());
+  }
+  return std::make_shared<eval::CachedBackend>(std::move(backend));
 }
 
 SizingProblem make_tia_problem(const ProblemOptions& options) {
@@ -311,7 +297,9 @@ SizingProblem make_ngm_problem(const ProblemOptions& options) {
           },
           [card](const std::vector<NgmParams>& params,
                  const std::vector<eval::OpHint*>& hints) {
-            return simulate_ngm_ota_batch(params, card, {}, hints);
+            return simulate_ngm_ota_batch(
+                params, std::vector<spice::TechCard>(params.size(), card),
+                {}, hints);
           },
           [](const NgmResult& r) {
             return SpecVector{r.gain, r.ugbw, r.phase_margin};
@@ -336,71 +324,46 @@ SizingProblem make_ngm_pex_problem(const ProblemOptions& options) {
   prob.specs[2].sample_hi = 60.0;
 
   const spice::TechCard nominal = spice::TechCard::finfet16();
-  const auto param_defs = prob.params;
-  const auto spec_defs = prob.specs;
-  const pex::ParasiticModel parasitics = transfer_parasitics();
-
-  // Pre-derive one corner card per PVT corner; the per-corner evaluator is
-  // then a pure function of (corner index, grid point), which is what lets
-  // CornerBackend fan the corners out across threads while the fold stays
-  // bit-identical to a serial corner loop.
-  const std::vector<pex::PvtCorner> corners = pex::standard_corners();
   std::vector<spice::TechCard> corner_cards;
-  corner_cards.reserve(corners.size());
-  for (const pex::PvtCorner& corner : corners) {
+  for (const pex::PvtCorner& corner : pex::standard_corners()) {
     corner_cards.push_back(pex::apply_corner(nominal, corner));
   }
+  const std::size_t n_corners = corner_cards.size();
+  const auto param_defs = prob.params;
+  const pex::ParasiticModel parasitics = transfer_parasitics();
 
-  auto corner_eval = [param_defs, parasitics, corner_cards](
-                         std::size_t corner_index, const ParamVector& idx,
-                         eval::OpHint* hint) -> util::Expected<SpecVector> {
-    const NgmParams p = ngm_params_from_grid(param_defs, idx);
-    NgmBuildOptions build;
-    build.parasitics = &parasitics;
-    build.hint = hint;  // one warm-start slot per corner (see CornerBackend)
-    auto res = simulate_ngm_ota(p, corner_cards[corner_index], build);
-    if (!res.ok()) return res.error();
-    return SpecVector{res->gain, res->ugbw, res->phase_margin};
-  };
-  auto fold = [spec_defs](const std::vector<SpecVector>& corner_results) {
-    return worst_case_fold(spec_defs, corner_results);
-  };
-
-  std::shared_ptr<eval::EvalBackend> backend;
-  if (options.eval_workers > 0) {
-    // Distributed PEX: each worker process owns a CornerBackend. The
-    // worker's corner pool (when parallel_corners is on) is created by the
-    // factory INSIDE the child — never ThreadPool::shared(), whose threads
-    // would be fork-orphaned corpses in the child.
-    const std::size_t n_corners = corners.size();
-    const bool parallel_corners = options.parallel_corners;
-    backend = wrap_process_pool(
-        [n_corners, corner_eval, fold,
-         parallel_corners]() -> std::shared_ptr<eval::EvalBackend> {
-          return std::make_shared<eval::CornerBackend>(
-              n_corners, corner_eval, fold,
-              parallel_corners ? std::make_shared<eval::ThreadPool>()
-                               : nullptr,
-              "pex_corners");
-        },
-        "pex_corners", options);
-  } else {
-    // With parallel corners on, CornerBackend fans out both single points
-    // (over corners) and batches (over point×corner pairs), so no extra
-    // batching layer is needed. With corners forced serial, an optional
-    // ThreadPoolBackend still honours parallel_batch by spreading batch
-    // points across workers (each point's corners staying serial).
-    backend = std::make_shared<eval::CornerBackend>(
-        corners.size(), std::move(corner_eval), std::move(fold),
-        options.parallel_corners ? eval::ThreadPool::shared() : nullptr,
-        "pex_corners");
-    if (!options.parallel_corners && options.parallel_batch) {
-      backend = std::make_shared<eval::ThreadPoolBackend>(backend);
-    }
-  }
-  prob.backend =
-      wrap_cache(std::move(backend), options,
-                 problem_fingerprint(prob.name, prob.params, prob.specs));
+  // Every (point, corner) pair is a lane, point-major: lane p * C + c is
+  // point p under corner c, and takes slot c of point p's warm-start hint
+  // (FunctionBackend hands out C slots per point). All lanes share one
+  // workspace pattern, since corners differ only in their card.
+  eval::BatchEvalFn corner_lanes = batch_evaluator(
+      [param_defs](const ParamVector& idx) {
+        return ngm_params_from_grid(param_defs, idx);
+      },
+      [corner_cards, parasitics](const std::vector<NgmParams>& points,
+                                 const std::vector<eval::OpHint*>& hints) {
+        std::vector<NgmParams> lanes;
+        std::vector<spice::TechCard> cards;
+        for (const NgmParams& p : points) {
+          lanes.insert(lanes.end(), corner_cards.size(), p);
+          cards.insert(cards.end(), corner_cards.begin(), corner_cards.end());
+        }
+        NgmBuildOptions build;
+        build.parasitics = &parasitics;
+        return simulate_ngm_ota_batch(lanes, cards, build, hints);
+      },
+      [](const NgmResult& r) {
+        return SpecVector{r.gain, r.ugbw, r.phase_margin};
+      });
+  prob.backend = make_standard_backend(
+      [corner_lanes, spec_defs = prob.specs, n_corners](
+          const std::vector<ParamVector>& points,
+          const std::vector<eval::OpHint*>& hints) {
+        return fold_corner_lanes(spec_defs, corner_lanes(points, hints),
+                                 n_corners);
+      },
+      "ngm_pex_sim", options,
+      problem_fingerprint(prob.name, prob.params, prob.specs), n_corners);
   prob.validate();
   return prob;
 }

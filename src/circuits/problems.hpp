@@ -5,12 +5,13 @@
 // achievable; where recalibration was needed the constants below are
 // annotated (see docs/DESIGN.md section 3 and docs/EXPERIMENTS.md).
 //
-// Every factory wires an evaluation-backend stack behind the problem: a
-// FunctionBackend leaf holding the circuit's one batch simulator (a single
-// point is a one-lane batch) behind a sharded memo cache keyed on grid
-// indices. The PEX factory's leaf is a CornerBackend that simulates PVT
-// corners in parallel and folds the worst case. ProblemOptions strips
-// layers for tests and benchmarks that need the raw serial path.
+// Every factory wires the same evaluation-backend stack behind the problem
+// (make_standard_backend): a FunctionBackend leaf holding the circuit's one
+// batch simulator (a single point is a one-lane batch), optionally forked
+// across worker processes, behind a memo cache keyed on grid indices. The
+// PEX factory's batch simulator runs every PVT corner of every point as a
+// lane and folds each point's corners to the worst case. ProblemOptions
+// strips layers for tests and benchmarks that need the raw leaf.
 
 #include <cstddef>
 #include <cstdint>
@@ -28,12 +29,13 @@ namespace autockt::circuits {
 /// Backend-stack configuration shared by all problem factories.
 struct ProblemOptions {
   bool cache = true;            // sharded memo cache over the grid
-  /// In-process PEX with parallel_corners off only: evaluate_batch()
-  /// spreads points over the shared thread pool, each point folding its
-  /// corners serially. Schematic problems run a batch as lanes of one
-  /// pipeline instead.
+  /// Ignored: no factory reads it. It stays declared only because
+  /// e2ebench assigns it, and goes with the next change to the benchmark.
   bool parallel_batch = true;
-  bool parallel_corners = true; // PEX only: PVT corners fanned out
+  /// Ignored: PVT corners always run as lanes of the leaf's batch. It
+  /// stays declared only because e2ebench assigns it, and goes with the
+  /// next change to the benchmark.
+  bool parallel_corners = true;
   /// Directory of a persistent on-disk eval cache (eval::DiskLogStore).
   /// Empty keeps the memo in memory only. The cache is guarded by the
   /// problem fingerprint: opening a directory written for a different
@@ -55,17 +57,19 @@ std::uint64_t problem_fingerprint(const std::string& name,
                                   const std::vector<SpecDef>& specs,
                                   const std::vector<std::string>& extra = {});
 
-/// The standard backend stack behind a schematic problem: a FunctionBackend
-/// leaf over `batch_fn` (whole batches as one call, single points as
-/// one-lane calls), optionally forked across eval_workers processes, behind
-/// an optional sharded memo cache. Shared by the built-in factories and by
+/// The standard backend stack behind every problem: a FunctionBackend leaf
+/// over `batch_fn` (whole batches as one call, single points as one-lane
+/// calls), optionally forked across eval_workers processes, behind an
+/// optional sharded memo cache. Shared by the built-in factories and by
 /// deck-compiled problems (circuits/netlist_problem.hpp).
 /// `cache_fingerprint` identifies the problem definition to a persistent
 /// cache (see problem_fingerprint); only consulted when options.cache_path
-/// is set.
+/// is set. `sims_per_point` is what one point costs the simulator (PEX: the
+/// corner count); see eval::FunctionBackend.
 std::shared_ptr<eval::EvalBackend> make_standard_backend(
     eval::BatchEvalFn batch_fn, const std::string& name,
-    const ProblemOptions& options, std::uint64_t cache_fingerprint = 0);
+    const ProblemOptions& options, std::uint64_t cache_fingerprint = 0,
+    std::size_t sims_per_point = 1);
 
 /// Transimpedance amplifier (Table I / Fig. 5). ptm45 card.
 SizingProblem make_tia_problem(const ProblemOptions& options = {});
@@ -81,8 +85,10 @@ SizingProblem make_ngm_problem(const ProblemOptions& options = {});
 /// parasitics plus worst-case over PVT corners (Table IV / Figs. 13-14).
 /// Spec definitions are identical to make_ngm_problem() except the phase
 /// margin target, which deployment fixes at a 60 degree minimum (paper
-/// Section III-D). Corners run through a CornerBackend — in parallel by
-/// default — and fold to spec vectors identical to a serial corner loop.
+/// Section III-D). Every (point, corner) pair of a batch is a lane of one
+/// simulate_ngm_ota_batch call, and fold_corner_lanes folds each point to
+/// the spec vector (or error) of a serial loop over its corners. In-process
+/// it runs on the calling thread; eval_workers spreads it over cores.
 SizingProblem make_ngm_pex_problem(const ProblemOptions& options = {});
 
 /// Number of circuit simulations one PEX evaluation costs (the corner

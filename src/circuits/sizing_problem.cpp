@@ -196,4 +196,25 @@ SpecVector worst_case_fold(const std::vector<SpecDef>& specs,
   return out;
 }
 
+std::vector<util::Expected<SpecVector>> fold_corner_lanes(
+    const std::vector<SpecDef>& specs,
+    std::vector<util::Expected<SpecVector>> lanes, std::size_t corners) {
+  std::vector<util::Expected<SpecVector>> out;
+  out.reserve(lanes.size() / corners);
+  std::vector<SpecVector> point;
+  for (std::size_t first = 0; first + corners <= lanes.size();
+       first += corners) {
+    point.clear();
+    while (point.size() < corners && lanes[first + point.size()].ok()) {
+      point.push_back(std::move(*lanes[first + point.size()]));
+    }
+    if (point.size() == corners) {
+      out.push_back(worst_case_fold(specs, point));
+    } else {
+      out.push_back(lanes[first + point.size()].error());
+    }
+  }
+  return out;
+}
+
 }  // namespace autockt::circuits

@@ -7,7 +7,7 @@
 // target sampling ranges, and an evaluation *backend* mapping grid points to
 // observed specification values (by running the circuit simulator). The
 // backend is the pluggable seam of the system: factories stack caching,
-// batch fan-out and PVT-corner parallelism behind it (see eval/backend.hpp)
+// worker processes and batched simulation behind it (see eval/backend.hpp)
 // without any consumer changing how it asks for specs.
 
 #include <functional>
@@ -100,7 +100,7 @@ struct SizingProblem {
                                       eval::SimHint* hint = nullptr) const;
 
   /// Simulate many grid points; result i corresponds to params[i]. The
-  /// backend may fan out, deduplicate and cache, but values and order are
+  /// backend may shard, deduplicate and cache, but values and order are
   /// those of the serial loop. `hints` is empty or aligned with `points`;
   /// distinct points must carry distinct SimHint objects.
   std::vector<util::Expected<SpecVector>> evaluate_batch(
@@ -164,5 +164,14 @@ struct SizingProblem {
 /// GreaterEq keeps the minimum, LessEq/Minimize the maximum.
 SpecVector worst_case_fold(const std::vector<SpecDef>& specs,
                            const std::vector<SpecVector>& corner_results);
+
+/// Fold point-major corner lanes into one result per point: lane
+/// p * corners + c holds point p under corner c (corners >= 1). A point
+/// whose corners all succeeded gets their worst_case_fold; any other gets
+/// the error of its lowest-indexed failing corner, which is where a serial
+/// loop over the corners would have stopped.
+std::vector<util::Expected<SpecVector>> fold_corner_lanes(
+    const std::vector<SpecDef>& specs,
+    std::vector<util::Expected<SpecVector>> lanes, std::size_t corners);
 
 }  // namespace autockt::circuits

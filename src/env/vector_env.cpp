@@ -125,8 +125,8 @@ std::vector<VectorSizingEnv::LaneStep> VectorSizingEnv::step_all(
   // env/reset spans under the tick.
   trace::TraceSpan span(trace::names::kEnvTick);
   // Phase 1: apply actions on running lanes and gather pending points
-  // (and each lane's warm-start slot — distinct objects, so a fan-out
-  // backend may write them concurrently).
+  // (and each lane's warm-start slot — distinct objects, since the leaf
+  // writes each point's slots).
   std::vector<int> stepped;
   std::vector<ParamVector> points;
   std::vector<eval::SimHint*> hints;

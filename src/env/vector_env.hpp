@@ -1,9 +1,9 @@
 #pragma once
 // VectorSizingEnv: N sizing environments stepped in lockstep, with all N
 // pending circuit points dispatched as ONE evaluate_batch() call through the
-// problem's shared EvalBackend. This is what puts the PR-1 evaluation layer
-// (thread-pool fan-out, sharded memo cache, corner parallelism) on the PPO
-// rollout and deployment hot paths.
+// problem's shared EvalBackend. This is what puts the evaluation layer
+// (sharded memo cache, lanes of one batched simulation, worker processes)
+// on the PPO rollout and deployment hot paths.
 //
 // Contract: each lane is a full SizingEnv driven through its split-phase
 // API, so a VectorSizingEnv over a FunctionBackend produces results

@@ -5,18 +5,19 @@
 // between "I need specs for this grid point" and "run the simulator" is a
 // first-class, composable interface:
 //
-//   FunctionBackend    — adapts a plain simulator callable (the leaf)
-//   CachedBackend      — sharded memo cache over the discrete grid
-//   ThreadPoolBackend  — fans evaluate_batch() out over persistent workers
-//   CornerBackend      — parallel PVT-corner fan-out + worst-case fold
+//   FunctionBackend     — adapts a simulator callable (the leaf)
+//   CachedBackend       — memo cache over the discrete grid
+//   ProcessPoolBackend  — shards batches over forked worker processes
 //
-// Decorators compose: Cached(Function(...)) over a batch simulator gives a
-// batched, cached schematic problem; Cached(Corner(...)) the PEX flow. All
-// backends must be thread-safe: PPO rollout workers evaluate concurrently.
+// Decorators compose: every problem runs Cached(Function(...)) in-process,
+// or Cached(ProcessPool(Function(...))) with eval workers. The PEX flow is
+// the same stack; its leaf runs each point's PVT corners as lanes of the
+// batch simulator and folds them to the worst case. All backends must be
+// thread-safe: PPO rollout workers evaluate concurrently.
 //
 // Batch semantics: evaluate_batch(points)[i] is exactly what evaluate
-// (points[i]) would return — backends may parallelize, deduplicate and
-// cache, but never change values or their order.
+// (points[i]) would return — backends may shard, deduplicate and cache,
+// but never change values or their order.
 
 #include <memory>
 #include <string>
@@ -48,8 +49,8 @@ class EvalBackend {
 
   /// Evaluate many design points; result i corresponds to points[i].
   /// `hints` is either empty or aligned with `points` (entries may be
-  /// null); distinct points must reference distinct SimHint objects so
-  /// fan-out backends can write them concurrently.
+  /// null); distinct points must reference distinct SimHint objects, since
+  /// the leaf writes each point's warm-start slots.
   /// Batch-shape accounting happens here (once, at the outermost layer the
   /// caller holds), so decorators forward internally via dispatch_batch().
   /// The pending_batches gauge covers the call's whole lifetime, so a
@@ -80,17 +81,17 @@ class EvalBackend {
     reset_inner_stats();
   }
 
-  /// True when this backend (or its leaf) turns evaluate_batch() into one
-  /// batched-kernel invocation rather than a loop over evaluate(). Fan-out
-  /// decorators consult this to forward whole batches instead of splitting
-  /// them into per-point tasks.
+  /// Ignored: nothing in src/ reads it. It stays declared only because
+  /// e2ebench's AttributedBackend overrides it, and goes with the next
+  /// change to the benchmark.
   virtual bool prefers_batch() const { return false; }
 
  protected:
   virtual EvalResult do_evaluate(const ParamVector& params, SimHint* hint) = 0;
 
-  /// Default batch execution: a serial loop. Leaves inherit this;
-  /// ThreadPoolBackend and CornerBackend override it with real fan-out.
+  /// Default batch execution: a serial loop over do_evaluate(). A batch
+  /// leaf overrides it with one simulator call, decorators to dedupe or
+  /// shard.
   virtual std::vector<EvalResult> do_evaluate_batch(
       const std::vector<ParamVector>& points,
       const std::vector<SimHint*>& hints);

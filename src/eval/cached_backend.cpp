@@ -88,8 +88,8 @@ std::vector<EvalResult> CachedBackend::do_evaluate_batch(
     slot_it->second.push_back(i);
   }
 
-  // Pass 2: one (smaller) batch below for the unique misses, preserving any
-  // fan-out machinery underneath.
+  // Pass 2: one (smaller) batch below for the unique misses, so the leaf
+  // still runs them as lanes and a process pool still shards them.
   if (!misses.empty()) {
     std::vector<EvalResult> fresh = dispatch_batch(*inner_, misses, miss_hints);
     for (std::size_t m = 0; m < misses.size(); ++m) {

@@ -16,8 +16,8 @@
 // Batch calls deduplicate: within one evaluate_batch, identical points cost
 // one simulation (first occurrence counts as the miss, duplicates as hits)
 // and the misses are forwarded below as a single smaller batch, so a batch
-// leaf still runs them as lanes and a fan-out layer (CornerBackend,
-// ProcessPoolBackend) underneath still fans out.
+// leaf still runs them as lanes and a ProcessPoolBackend underneath still
+// shards them across its workers.
 
 #include <cstddef>
 #include <memory>

@@ -10,14 +10,14 @@ namespace autockt::eval {
 
 EvalResult FunctionBackend::do_evaluate(const ParamVector& params,
                                         SimHint* hint) {
+  if (batch_fn_ != nullptr) {
+    return std::move(do_evaluate_batch({params}, {hint}).at(0));
+  }
   trace::TraceSpan span(trace::names::kEvalSimulate);
   const auto t0 = std::chrono::steady_clock::now();
   OpHint* op_hint = hint != nullptr ? &hint->slot(0) : nullptr;
   EvalResult result = [&]() -> EvalResult {
     try {
-      if (batch_fn_ != nullptr) {
-        return std::move(batch_fn_({params}, {op_hint}).at(0));
-      }
       return fn_(params, op_hint);
     } catch (const std::exception& e) {
       return util::Error{std::string("evaluator threw: ") + e.what(), -1};
@@ -40,10 +40,15 @@ std::vector<EvalResult> FunctionBackend::do_evaluate_batch(
   }
   trace::TraceSpan span(trace::names::kEvalSimulate);
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<OpHint*> op_hints(points.size(), nullptr);
+  const std::size_t sims = sims_per_point_;
+  std::vector<OpHint*> op_hints(points.size() * sims, nullptr);
   for (std::size_t i = 0; i < points.size(); ++i) {
     SimHint* hint = hint_at(hints, i);
-    if (hint != nullptr) op_hints[i] = &hint->slot(0);
+    if (hint == nullptr) continue;
+    hint->slot(sims - 1);  // size once: the slot pointers below stay valid
+    for (std::size_t c = 0; c < sims; ++c) {
+      op_hints[i * sims + c] = &hint->ops[c];
+    }
   }
   std::vector<EvalResult> results = [&]() -> std::vector<EvalResult> {
     try {
@@ -61,7 +66,8 @@ std::vector<EvalResult> FunctionBackend::do_evaluate_batch(
   }();
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
-  counters_.add_simulations(static_cast<long>(points.size()), dt.count());
+  counters_.add_simulations(static_cast<long>(points.size() * sims),
+                            dt.count());
   return results;
 }
 

@@ -6,6 +6,7 @@
 // converted to Error results so one bad design point cannot take down a
 // batch worker.
 
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -28,13 +29,17 @@ class FunctionBackend : public EvalBackend {
 
   /// Batch leaf: a whole batch is ONE `batch_fn` invocation (lanes of the
   /// simulation pipeline) and a single point is a one-lane call of it.
+  /// One point costs `sims_per_point` simulations (the PEX flow: one per
+  /// PVT corner), and `batch_fn` gets that many warm-start slots per point,
+  /// point-major: slot c of point p is hints[p * sims_per_point + c].
   explicit FunctionBackend(BatchEvalFn batch_fn,
-                           std::string name = "function")
-      : batch_fn_(std::move(batch_fn)), name_(std::move(name)) {}
+                           std::string name = "function",
+                           std::size_t sims_per_point = 1)
+      : batch_fn_(std::move(batch_fn)),
+        name_(std::move(name)),
+        sims_per_point_(sims_per_point) {}
 
   std::string name() const override { return name_; }
-
-  bool prefers_batch() const override { return batch_fn_ != nullptr; }
 
  protected:
   EvalResult do_evaluate(const ParamVector& params, SimHint* hint) override;
@@ -47,6 +52,7 @@ class FunctionBackend : public EvalBackend {
   HintedEvalFn fn_;
   BatchEvalFn batch_fn_;
   std::string name_;
+  std::size_t sims_per_point_ = 1;
 };
 
 }  // namespace autockt::eval

@@ -509,7 +509,7 @@ void ProcessPoolBackend::shutdown_zygote() {
 
 void ProcessPoolBackend::zygote_main(int control_fd) {
   // The zygote stays single-threaded for its whole life, so its forks are
-  // always safe: a worker may malloc and build thread pools immediately.
+  // always safe: a worker may malloc and start threads immediately.
   // With SIGCHLD ignored the kernel reaps exited workers — no zombie
   // accumulates even though the parent never waits on grandchildren.
   ::signal(SIGCHLD, SIG_IGN);
@@ -619,7 +619,7 @@ void ProcessPoolBackend::kill_worker_locked(Worker& worker) {
 
 void ProcessPoolBackend::child_main(int fd) {
   // Build the evaluation stack fresh in this process: anything the factory
-  // creates (thread pools included) is born after the fork and works.
+  // creates (threads included) is born after the fork and works.
   std::shared_ptr<EvalBackend> inner;
   try {
     inner = inner_factory_();

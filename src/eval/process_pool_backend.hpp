@@ -1,10 +1,10 @@
 #pragma once
 // ProcessPoolBackend: fans evaluate() / evaluate_batch() out over forked
-// worker processes — the distribution half of ROADMAP item 4. Where
-// ThreadPoolBackend shares one address space (and therefore one crash
-// domain and one set of process-wide kernel counters), a process pool gives
-// each worker its own: a simulator bug that corrupts or kills a worker
-// costs one retry, never the trainer.
+// worker processes — the eval stack's one way to use more cores. Threads
+// would share one address space (and therefore one crash domain and one
+// set of process-wide kernel counters); a process pool gives each worker
+// its own: a simulator bug that corrupts or kills a worker costs one
+// retry, never the trainer.
 //
 // Protocol: each worker owns one AF_UNIX stream socketpair and speaks a
 // strict request/reply alternation of length-prefixed binary frames
@@ -36,12 +36,11 @@
 // socket passed back over SCM_RIGHTS. Workers are therefore always forks
 // of a single-threaded process, inherit no sibling descriptors, and may
 // freely allocate while building the inner stack via the injected factory
-// (which also guarantees it never contains threads that died in a fork —
-// a pre-fork ThreadPool would hang its child copy; CornerBackend-style
-// stacks should create any pools lazily in the factory). If the zygote is
-// ever lost, spawning falls back to a direct fork that closes a
-// mutex-guarded snapshot of the pool's open descriptors — a degraded mode
-// that accepts the multithreaded-fork risk rather than going dark.
+// (which also guarantees it never contains threads that died in a fork).
+// If the zygote is ever lost, spawning falls back to a direct fork that
+// closes a mutex-guarded snapshot of the pool's open descriptors — a
+// degraded mode that accepts the multithreaded-fork risk rather than going
+// dark.
 
 #include <sys/types.h>
 
@@ -89,7 +88,6 @@ class ProcessPoolBackend : public EvalBackend {
     return "procpool[" + std::to_string(workers_.size()) + "](" +
            options_.inner_name + ")";
   }
-  bool prefers_batch() const override { return true; }
 
   std::size_t num_workers() const { return workers_.size(); }
 

@@ -1,10 +1,9 @@
 #pragma once
 // Instrumentation for the evaluation layer. Every backend keeps a
 // StatsCollector (lock-free atomic counters, safe under the PPO rollout
-// workers and the batch thread pool) and exposes an EvalStats snapshot;
-// decorator stacks merge snapshots so the top of the stack reports the
-// whole pipeline: real simulations run, cache hits/misses, batch shapes and
-// simulator wall time.
+// workers) and exposes an EvalStats snapshot; decorator stacks merge
+// snapshots so the top of the stack reports the whole pipeline: real
+// simulations run, cache hits/misses, batch shapes and simulator wall time.
 
 #include <atomic>
 #include <cstdint>
@@ -16,7 +15,7 @@ namespace autockt::eval {
 
 /// Plain-value snapshot of evaluation activity. Field ownership is
 /// per-layer so that merging never double counts:
-///  * simulations / sim_seconds — leaf backends (Function, Corner)
+///  * simulations / sim_seconds — the FunctionBackend leaf
 ///  * cache_hits / cache_misses — CachedBackend
 ///  * batch_* — the outermost backend that received an evaluate_batch call
 struct EvalStats {

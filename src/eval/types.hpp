@@ -52,8 +52,9 @@ struct OpHint {
 struct SimHint {
   std::vector<OpHint> ops;
 
-  /// Grow-on-demand slot access. NOT safe during concurrent slot writes;
-  /// fan-out backends size the vector up front (see CornerBackend).
+  /// Grow-on-demand slot access; it may reallocate `ops`, so the leaf
+  /// sizes the vector once before taking slot pointers (see
+  /// FunctionBackend).
   OpHint& slot(std::size_t i) {
     if (ops.size() <= i) ops.resize(i + 1);
     return ops[i];
@@ -71,8 +72,11 @@ using HintedEvalFn = std::function<EvalResult(const ParamVector&, OpHint*)>;
 
 /// Batched simulator callable: evaluates K design points as lanes of one
 /// batched kernel invocation (lockstep DC Newton, batched AC/noise sweeps).
-/// `hints` is either empty or aligned with `points` (entries may be null).
-/// Contract: result[i] is exactly what the scalar callable would return for
+/// `hints` is empty or holds S (possibly null) slots per point,
+/// point-major, where S is the number of simulations one point costs
+/// (FunctionBackend's sims_per_point: 1 for a schematic problem, one per
+/// PVT corner for PEX).
+/// Contract: result[i] is exactly what a one-point call would return for
 /// points[i] — batching is a throughput optimization, never a semantic one.
 using BatchEvalFn = std::function<std::vector<EvalResult>(
     const std::vector<ParamVector>&, const std::vector<OpHint*>&)>;

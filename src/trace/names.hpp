@@ -15,7 +15,6 @@ namespace autockt::trace::names {
 inline constexpr const char* kEvalEvaluate = "eval/evaluate";
 inline constexpr const char* kEvalEvaluateBatch = "eval/evaluate_batch";
 inline constexpr const char* kEvalSimulate = "eval/simulate";
-inline constexpr const char* kEvalCorner = "eval/corner";
 inline constexpr const char* kSimBuildWorkspace = "sim/build_workspace";
 inline constexpr const char* kSimFactorReal = "sim/factor_real";
 inline constexpr const char* kSimSolveReal = "sim/solve_real";

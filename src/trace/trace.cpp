@@ -21,8 +21,8 @@ const std::vector<NameInfo>& registry() {
        "one EvalBackend::evaluate() call at one decorator layer"},
       {kEvalEvaluateBatch, "span",
        "one evaluate_batch() call at the outermost backend layer"},
-      {kEvalSimulate, "span", "one real simulator invocation (FunctionBackend leaf)"},
-      {kEvalCorner, "span", "one per-corner evaluation inside CornerBackend"},
+      {kEvalSimulate, "span",
+       "one FunctionBackend leaf call (a point, or a whole batch as lanes)"},
       {kSimBuildWorkspace, "span",
        "SimWorkspace construction: pattern discovery + symbolic factorization"},
       {kSimFactorReal, "span", "real-valued numeric LU (re)factorization"},

@@ -175,23 +175,18 @@ TEST(GaMl, DiscriminatorEconomyUsesFewerSimsPerCandidate) {
 }
 
 // ---- evaluation-backend equivalence ----------------------------------------
-// The GA simulates whole generations through evaluate_batch(); a cached +
-// thread-pooled backend must reproduce the plain serial backend's GaResult
-// bit for bit at a fixed seed — the backend is allowed to change wall-clock
-// and sim counts, never values or the search trajectory.
+// The GA simulates whole generations through evaluate_batch(); a cached
+// backend must reproduce the plain serial backend's GaResult bit for bit at
+// a fixed seed — the backend is allowed to change wall-clock and sim
+// counts, never values or the search trajectory.
 
 #include "eval/cached_backend.hpp"
-#include "eval/thread_pool.hpp"
-#include "eval/threaded_backend.hpp"
 
 namespace {
 
 circuits::SizingProblem synth_with_decorated_backend() {
   auto prob = test_support::make_synthetic_problem(3, 21);
-  prob.backend = std::make_shared<eval::CachedBackend>(
-      std::make_shared<eval::ThreadPoolBackend>(
-          prob.backend, std::make_shared<eval::ThreadPool>(4)),
-      8);
+  prob.backend = std::make_shared<eval::CachedBackend>(prob.backend, 8);
   return prob;
 }
 

@@ -1,7 +1,7 @@
 // Tests for the evaluation-backend layer: decorator composition, cache
 // hit/miss accounting, failure memoization, serial-vs-batch equivalence,
-// corner fan-out parity with a serial reference loop, and a multi-threaded
-// cache smoke test.
+// PEX corner lanes against a serial corner loop, the corner fold, and a
+// multi-threaded cache smoke test.
 
 #include <gtest/gtest.h>
 
@@ -13,14 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "circuits/ngm_ota.hpp"
 #include "circuits/problems.hpp"
 #include "circuits/sizing_problem.hpp"
 #include "eval/backend.hpp"
 #include "eval/cached_backend.hpp"
-#include "eval/corner_backend.hpp"
 #include "eval/function_backend.hpp"
-#include "eval/thread_pool.hpp"
-#include "eval/threaded_backend.hpp"
+#include "pex/pvt.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -188,89 +187,38 @@ TEST(CachedBackend, BatchDeduplicatesRepeatedPoints) {
   EXPECT_EQ(stats.cache_hits, 3);  // duplicates within the batch
 }
 
-TEST(ThreadPoolBackend, BatchMatchesSerialValues) {
-  auto calls = std::make_shared<std::atomic<long>>(0);
-  auto pool = std::make_shared<eval::ThreadPool>(4);
-  auto threaded = std::make_shared<eval::ThreadPoolBackend>(
-      counting_backend(calls), pool);
-
-  std::vector<ParamVector> points;
-  for (int i = 0; i < 64; ++i) points.push_back({i, i + 1});
-  auto batch = threaded->evaluate_batch(points);
-  ASSERT_EQ(batch.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok());
-    EXPECT_DOUBLE_EQ(batch[i].value()[0],
-                     static_cast<double>(points[i][0] + points[i][1]));
-  }
-  EXPECT_EQ(calls->load(), 64);
-  EXPECT_EQ(threaded->stats().max_batch, 64);
-}
-
-TEST(ThreadPool, NestedParallelForRunsInline) {
-  auto pool = std::make_shared<eval::ThreadPool>(2);
-  std::atomic<int> total{0};
-  pool->parallel_for(8, [&](std::size_t) {
-    pool->parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 64);
-}
-
-TEST(CornerBackend, MatchesSerialReferenceLoop) {
-  // Corner evaluator: scales the spec by (corner+1); worst case folds with
-  // min for spec0 (GreaterEq-like) via the injected fold.
-  auto corner_eval = [](std::size_t corner, const ParamVector& p,
-                        eval::OpHint*) -> EvalResult {
-    double sum = 0.0;
-    for (int x : p) sum += static_cast<double>(x);
-    const double scale = 1.0 + 0.1 * static_cast<double>(corner);
-    return SpecVector{sum * scale, sum / scale};
+TEST(PexCornerFold, FirstFailingCornerWinsElseWorstCase) {
+  const std::vector<circuits::SpecDef> specs = {
+      {"gain", circuits::SpecSense::GreaterEq, 1.0, 2.0, 1.0, 0.0},
+      {"noise", circuits::SpecSense::LessEq, 1.0, 2.0, 1.0, 9.0},
   };
-  auto fold = [](const std::vector<SpecVector>& corners) {
-    SpecVector out = corners.front();
-    for (const auto& c : corners) {
-      out[0] = std::min(out[0], c[0]);
-      out[1] = std::max(out[1], c[1]);
-    }
-    return out;
-  };
+  // Three points x three corners, point-major. Point 0 converged at every
+  // corner; point 1 failed at corners 1 and 2, point 2 at corners 0 and 2.
+  std::vector<EvalResult> lanes;
+  lanes.insert(lanes.end(), {SpecVector{3.0, 1.0}, SpecVector{2.0, 4.0},
+                             SpecVector{5.0, 2.0}});
+  lanes.insert(lanes.end(), {SpecVector{1.0, 1.0},
+                             util::Error{"corner 1 failed", 1},
+                             util::Error{"corner 2 failed", 2}});
+  lanes.insert(lanes.end(), {util::Error{"corner 0 failed", 10},
+                             SpecVector{1.0, 1.0},
+                             util::Error{"corner 2 failed", 12}});
+  const auto folded = circuits::fold_corner_lanes(specs, lanes, 3);
+  ASSERT_EQ(folded.size(), 3u);
+  ASSERT_TRUE(folded[0].ok());
+  EXPECT_EQ(folded[0].value(), (SpecVector{2.0, 4.0}));
+  ASSERT_FALSE(folded[1].ok());
+  EXPECT_EQ(folded[1].error().code, 1);
+  EXPECT_EQ(folded[1].error().message, "corner 1 failed");
+  ASSERT_FALSE(folded[2].ok());
+  EXPECT_EQ(folded[2].error().code, 10);
 
-  const std::size_t kCorners = 5;
-  eval::CornerBackend parallel_backend(
-      kCorners, corner_eval, fold, std::make_shared<eval::ThreadPool>(4));
-  eval::CornerBackend serial_backend(kCorners, corner_eval, fold, nullptr);
-
-  for (int trial = 0; trial < 10; ++trial) {
-    ParamVector p = {trial, trial * 2, 3};
-    auto a = parallel_backend.evaluate(p);
-    auto b = serial_backend.evaluate(p);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value(), b.value());
-  }
-  EXPECT_EQ(parallel_backend.stats().simulations,
-            static_cast<long>(10 * kCorners));
-}
-
-TEST(CornerBackend, FirstFailingCornerWinsDeterministically) {
-  // Corners 2 and 4 fail with distinct codes; the serial loop would surface
-  // corner 2's error, so the parallel fan-out must as well.
-  auto corner_eval = [](std::size_t corner, const ParamVector&,
-                        eval::OpHint*) -> EvalResult {
-    if (corner == 2) return util::Error{"corner 2 failed", 2};
-    if (corner == 4) return util::Error{"corner 4 failed", 4};
-    return SpecVector{1.0};
-  };
-  auto fold = [](const std::vector<SpecVector>& corners) {
-    return corners.front();
-  };
-  eval::CornerBackend backend(6, corner_eval, fold,
-                              std::make_shared<eval::ThreadPool>(4));
-  for (int trial = 0; trial < 20; ++trial) {
-    auto r = backend.evaluate({trial});
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code, 2);
-  }
+  // One corner per point folds each lane to itself.
+  const auto single = circuits::fold_corner_lanes(
+      specs, {SpecVector{3.0, 1.0}, util::Error{"down", 4}}, 1);
+  ASSERT_EQ(single.size(), 2u);
+  EXPECT_EQ(single[0].value(), (SpecVector{3.0, 1.0}));
+  EXPECT_EQ(single[1].error().code, 4);
 }
 
 TEST(CachedBackend, MultiThreadedSmoke) {
@@ -326,43 +274,93 @@ TEST(SizingProblem, SetEvaluatorShimRoundTrips) {
   EXPECT_EQ(batch[0].value(), serial.value());
 }
 
-TEST(Problems, PexCornerBackendMatchesSerialLoop) {
-  // The acceptance check: the parallel CornerBackend PEX evaluation equals
-  // the serial corner loop, point by point.
-  circuits::ProblemOptions parallel_opts;
-  circuits::ProblemOptions serial_opts;
-  serial_opts.cache = false;
-  serial_opts.parallel_batch = false;
-  serial_opts.parallel_corners = false;
-  auto parallel_prob = circuits::make_ngm_pex_problem(parallel_opts);
-  auto serial_prob = circuits::make_ngm_pex_problem(serial_opts);
+namespace {
+
+/// Independent PEX reference: a loop over the PVT corners of one-lane
+/// simulate_ngm_ota calls, each corner warm-starting from and refreshing
+/// its own hint slot, then worst_case_fold — or the first failing corner's
+/// error.
+EvalResult pex_serial_loop(const circuits::SizingProblem& prob,
+                           const ParamVector& idx, eval::SimHint* hint) {
+  const pex::ParasiticModel parasitics = test_support::pex_parasitics();
+  const circuits::NgmParams params =
+      circuits::ngm_params_from_grid(prob.params, idx);
+  const auto corners = pex::standard_corners();
+  std::vector<util::Expected<circuits::NgmResult>> results;
+  for (std::size_t c = 0; c < corners.size(); ++c) {
+    circuits::NgmBuildOptions build;
+    build.parasitics = &parasitics;
+    build.hint = &hint->slot(c);
+    results.push_back(circuits::simulate_ngm_ota(
+        params, pex::apply_corner(spice::TechCard::finfet16(), corners[c]),
+        build));
+  }
+  std::vector<SpecVector> specs;
+  for (const auto& r : results) {
+    if (!r.ok()) return r.error();
+    specs.push_back({r->gain, r->ugbw, r->phase_margin});
+  }
+  return circuits::worst_case_fold(prob.specs, specs);
+}
+
+}  // namespace
+
+TEST(Problems, PexCornerLanesMatchSerialCornerLoop) {
+  // An uncached batch of K points runs as K x corners lanes of one call;
+  // each point must equal the serial corner loop bitwise, leave the same
+  // per-corner warm-start slots behind, and cost one simulation per corner.
+  circuits::ProblemOptions options;
+  options.cache = false;
+  const auto prob = circuits::make_ngm_pex_problem(options);
+  const std::size_t corners = circuits::ngm_pex_corner_count();
+  ASSERT_EQ(corners, pex::standard_corners().size());
 
   util::Rng rng(1234);
-  std::vector<circuits::ParamVector> points;
-  points.push_back(parallel_prob.center_params());
-  for (int i = 0; i < 4; ++i) {
-    circuits::ParamVector p;
-    for (const auto& def : parallel_prob.params) {
-      p.push_back(static_cast<int>(
-          rng.bounded(static_cast<std::uint64_t>(def.grid_size()))));
-    }
-    points.push_back(std::move(p));
-  }
-
-  for (const auto& p : points) {
-    auto a = parallel_prob.evaluate(p);
-    auto b = serial_prob.evaluate(p);
-    ASSERT_EQ(a.ok(), b.ok());
-    if (a.ok()) {
-      ASSERT_EQ(a.value().size(), b.value().size());
-      for (std::size_t s = 0; s < a.value().size(); ++s) {
-        EXPECT_DOUBLE_EQ(a.value()[s], b.value()[s]);
+  for (const std::size_t K : {1u, 2u, 5u, 16u}) {
+    std::vector<ParamVector> points = {prob.center_params()};
+    while (points.size() < K) {
+      ParamVector p;
+      for (const auto& def : prob.params) {
+        p.push_back(static_cast<int>(
+            rng.bounded(static_cast<std::uint64_t>(def.grid_size()))));
       }
-    } else {
-      EXPECT_EQ(a.error().message, b.error().message);
+      points.push_back(std::move(p));
+    }
+    std::vector<eval::SimHint> lane_hints(K);
+    std::vector<eval::SimHint> loop_hints(K);
+    std::vector<eval::SimHint*> hint_ptrs;
+    for (auto& h : lane_hints) hint_ptrs.push_back(&h);
+
+    // Round 0 starts cold; round 1 warm-starts from round 0's slots.
+    for (int round = 0; round < 2; ++round) {
+      const std::string what =
+          "K=" + std::to_string(K) + " round " + std::to_string(round);
+      prob.reset_eval_stats();
+      const auto batch = prob.evaluate_batch(points, hint_ptrs);
+      ASSERT_EQ(batch.size(), K) << what;
+      EXPECT_EQ(prob.eval_stats().simulations,
+                static_cast<long>(K * corners))
+          << what;
+      for (std::size_t i = 0; i < K; ++i) {
+        const EvalResult ref = pex_serial_loop(prob, points[i], &loop_hints[i]);
+        ASSERT_EQ(batch[i].ok(), ref.ok()) << what << " point " << i;
+        if (ref.ok()) {
+          EXPECT_EQ(batch[i].value(), ref.value()) << what << " point " << i;
+        } else {
+          EXPECT_EQ(batch[i].error().message, ref.error().message) << what;
+        }
+        ASSERT_EQ(lane_hints[i].ops.size(), corners) << what;
+        for (std::size_t c = 0; c < corners; ++c) {
+          const eval::OpHint& a = lane_hints[i].ops[c];
+          const eval::OpHint& b = loop_hints[i].ops[c];
+          EXPECT_EQ(a.valid, b.valid) << what << " point " << i << " c" << c;
+          EXPECT_EQ(a.node_v, b.node_v) << what << " point " << i << " c" << c;
+          EXPECT_EQ(a.branch_i, b.branch_i)
+              << what << " point " << i << " c" << c;
+        }
+      }
     }
   }
-  EXPECT_GT(parallel_prob.eval_stats().simulations, 0);
 }
 
 /// Pin the stat-dump surface: fields() must name every public EvalStats

@@ -24,10 +24,12 @@
 #include "env/vector_env.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_lu.hpp"
+#include "pex/pvt.hpp"
 #include "spice/ac.hpp"
 #include "spice/dc.hpp"
 #include "spice/noise.hpp"
 #include "spice/workspace.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 using namespace autockt;
@@ -461,7 +463,9 @@ TEST(BatchSimParity, NgmOtaMatchesScalarBitwiseAcrossRaggedK) {
       p.cc = (0.4 + 0.1 * static_cast<double>(l % 4)) * 1e-12;
       params.push_back(p);
     }
-    const auto batch = circuits::simulate_ngm_ota_batch(params, card);
+    const auto batch = circuits::simulate_ngm_ota_batch(
+        params,
+        std::vector<spice::TechCard>(static_cast<std::size_t>(K), card));
     ASSERT_EQ(batch.size(), static_cast<std::size_t>(K));
     for (int l = 0; l < K; ++l) {
       const std::size_t i = static_cast<std::size_t>(l);
@@ -474,6 +478,54 @@ TEST(BatchSimParity, NgmOtaMatchesScalarBitwiseAcrossRaggedK) {
       EXPECT_EQ(batch[i]->ugbw, scalar->ugbw) << what;
       EXPECT_EQ(batch[i]->phase_margin, scalar->phase_margin) << what;
       EXPECT_EQ(batch[i]->bias_current, scalar->bias_current) << what;
+    }
+  }
+}
+
+TEST(BatchSimParity, NgmOtaMixedCornerCardsMatchOneLaneCallsBitwise) {
+  // The PEX flow's lanes: each lane carries its own PVT corner card (and
+  // the layout parasitics) in one call; every lane, and the hint it leaves
+  // behind, must equal its own one-lane call.
+  const pex::ParasiticModel parasitics = test_support::pex_parasitics();
+  circuits::NgmBuildOptions build;
+  build.parasitics = &parasitics;
+  std::vector<spice::TechCard> corner_cards;
+  for (const pex::PvtCorner& corner : pex::standard_corners()) {
+    corner_cards.push_back(
+        pex::apply_corner(spice::TechCard::finfet16(), corner));
+  }
+  for (const int K : kRaggedK) {
+    const std::size_t n = static_cast<std::size_t>(K);
+    std::vector<circuits::NgmParams> params(n);
+    std::vector<spice::TechCard> cards;
+    for (std::size_t l = 0; l < n; ++l) {
+      params[l].nf_in = 20 + 4 * static_cast<int>((l / 3) % 3);
+      params[l].cc = (0.4 + 0.1 * static_cast<double>(l % 4)) * 1e-12;
+      cards.push_back(corner_cards[l % corner_cards.size()]);
+    }
+    std::vector<eval::OpHint> batch_hints(n);
+    std::vector<eval::OpHint> scalar_hints(n);
+    std::vector<eval::OpHint*> hint_ptrs;
+    for (auto& h : batch_hints) hint_ptrs.push_back(&h);
+    const auto batch =
+        circuits::simulate_ngm_ota_batch(params, cards, build, hint_ptrs);
+    ASSERT_EQ(batch.size(), n);
+    for (std::size_t l = 0; l < n; ++l) {
+      circuits::NgmBuildOptions one = build;
+      one.hint = &scalar_hints[l];
+      const auto scalar = circuits::simulate_ngm_ota(params[l], cards[l], one);
+      const std::string what =
+          "mixed-card ngm K=" + std::to_string(K) + " lane " +
+          std::to_string(l);
+      expect_same_outcome(batch[l], scalar, what);
+      EXPECT_EQ(batch_hints[l].valid, scalar_hints[l].valid) << what;
+      EXPECT_EQ(batch_hints[l].node_v, scalar_hints[l].node_v) << what;
+      EXPECT_EQ(batch_hints[l].branch_i, scalar_hints[l].branch_i) << what;
+      if (!scalar.ok()) continue;
+      EXPECT_EQ(batch[l]->gain, scalar->gain) << what;
+      EXPECT_EQ(batch[l]->ugbw, scalar->ugbw) << what;
+      EXPECT_EQ(batch[l]->phase_margin, scalar->phase_margin) << what;
+      EXPECT_EQ(batch[l]->bias_current, scalar->bias_current) << what;
     }
   }
 }
@@ -510,12 +562,10 @@ TEST(BatchSimParity, TiaMatchesScalarBitwiseAcrossRaggedK) {
 
 namespace {
 
-/// Raw serial stacks (no cache, no pool) so every call reaches the leaf.
+/// Raw stacks (no cache) so every call reaches the leaf.
 circuits::ProblemOptions lean_options() {
   circuits::ProblemOptions o;
   o.cache = false;
-  o.parallel_batch = false;
-  o.parallel_corners = false;
   return o;
 }
 
@@ -571,8 +621,8 @@ TEST(BatchProblemParity, BuiltinProblems) {
       circuits::make_two_stage_problem(lean_options()), "two_stage");
   expect_problem_batch_parity(circuits::make_ngm_problem(lean_options()),
                               "ngm_ota");
-  // The PEX problem's leaf is the corner fan-out; the contract holds there
-  // too.
+  // The PEX problem's leaf runs every corner of every point as a lane and
+  // folds; the contract holds there too.
   expect_problem_batch_parity(circuits::make_ngm_pex_problem(lean_options()),
                               "ngm_ota_pex");
 }

@@ -565,8 +565,6 @@ namespace {
 circuits::ProblemOptions serial_options() {
   circuits::ProblemOptions o;
   o.cache = false;
-  o.parallel_batch = false;
-  o.parallel_corners = false;
   return o;
 }
 
@@ -588,8 +586,8 @@ TEST(ProcessPoolProblemParity, BuiltinProblems) {
   expect_problem_parity(circuits::make_ngm_problem(pooled_options(4)),
                         circuits::make_ngm_problem(serial_options()), 5,
                         "ngm_ota");
-  // PEX: each worker rebuilds the corner fan-out (fresh in-child thread
-  // pool); the folded worst-case must still match the serial corner loop.
+  // PEX: each worker runs its shard's corners as lanes and folds them; the
+  // worst case must still match the in-process stack.
   expect_problem_parity(circuits::make_ngm_pex_problem(pooled_options(4)),
                         circuits::make_ngm_pex_problem(serial_options()), 2,
                         "ngm_ota_pex");

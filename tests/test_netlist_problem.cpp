@@ -151,7 +151,6 @@ TEST(CircuitRegistry, BuiltinsResolveByName) {
   EXPECT_TRUE(reg.has("ngm_ota_pex"));
 
   ProblemOptions options;
-  options.parallel_batch = false;  // keep the test single-threaded
   auto prob = reg.make("tia", options);
   ASSERT_TRUE(prob.ok());
   EXPECT_EQ(prob->name, "tia");

@@ -328,8 +328,6 @@ namespace {
 circuits::ProblemOptions raw_options() {
   circuits::ProblemOptions options;
   options.cache = false;
-  options.parallel_batch = false;
-  options.parallel_corners = false;
   return options;
 }
 

@@ -1,7 +1,7 @@
 // Tests for the span/trace layer (src/trace/): nesting and parent links,
 // the runtime enable switch, fixed-seed record-count determinism through
 // the full request path (characterization and PPO training), merge
-// determinism under the threaded batch backend, the JSONL export schema,
+// determinism when several threads drive one backend, the JSONL export schema,
 // and the OBSERVABILITY.md glossary cross-check against the name registry
 // and EvalStats::fields(). Every determinism assertion is on per-name
 // record COUNTS — durations, thread ordinals and interleavings are
@@ -18,14 +18,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autockt/autockt.hpp"
 #include "circuits/problems.hpp"
 #include "circuits/synthetic.hpp"
 #include "eval/function_backend.hpp"
-#include "eval/thread_pool.hpp"
-#include "eval/threaded_backend.hpp"
 #include "trace/names.hpp"
 #include "trace/trace.hpp"
 #include "util/json.hpp"
@@ -54,8 +53,6 @@ bool compiled_in_or_skip() { return trace::compiled_in(); }
 circuits::ProblemOptions serial_options() {
   circuits::ProblemOptions options;
   options.cache = false;
-  options.parallel_batch = false;
-  options.parallel_corners = false;
   return options;
 }
 
@@ -217,33 +214,41 @@ TEST(Trace, TrainingCountsAreDeterministic) {
 TEST(Trace, ThreadedBackendMergeIsDeterministic) {
   if (!compiled_in_or_skip()) GTEST_SKIP() << "trace layer compiled out";
   RecorderGuard guard;
-  auto leaf = std::make_shared<eval::FunctionBackend>(
+  eval::FunctionBackend backend(
       [](const eval::ParamVector& p) -> eval::EvalResult {
         return eval::SpecVector{static_cast<double>(p[0] + p[1])};
       });
-  auto pool = std::make_shared<eval::ThreadPool>(4);
-  eval::ThreadPoolBackend backend(leaf, pool);
 
-  std::vector<eval::ParamVector> points;
-  for (int i = 0; i < 12; ++i) points.push_back({i, i + 1});
-
+  constexpr int kThreads = 4;
+  constexpr int kPointsPerThread = 3;
   auto& rec = trace::recorder();
   const auto run = [&] {
     rec.reset();
     rec.set_enabled(true);
-    auto results = backend.evaluate_batch(points);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&backend, t] {
+        std::vector<eval::ParamVector> points;
+        for (int i = 0; i < kPointsPerThread; ++i) {
+          points.push_back({t, i});
+        }
+        const auto results = backend.evaluate_batch(points);
+        EXPECT_EQ(results.size(), points.size());
+      });
+    }
+    for (auto& th : threads) th.join();
     rec.set_enabled(false);
-    EXPECT_EQ(results.size(), points.size());
     return rec.counts_by_name();
   };
   const auto first = run();
   const auto second = run();
-  // Which pool thread evaluates which point varies run to run; the merged
-  // per-name counts must not.
+  // How the threads interleave varies run to run; the merged per-name
+  // counts must not.
   EXPECT_EQ(first, second);
   ASSERT_TRUE(first.count(trace::names::kEvalSimulate));
-  EXPECT_EQ(first.at(trace::names::kEvalSimulate), 12);
-  EXPECT_EQ(first.at(trace::names::kEvalEvaluateBatch), 1);
+  EXPECT_EQ(first.at(trace::names::kEvalSimulate),
+            kThreads * kPointsPerThread);
+  EXPECT_EQ(first.at(trace::names::kEvalEvaluateBatch), kThreads);
 }
 
 TEST(Trace, JsonlExportRoundTrips) {
