@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -15,6 +16,12 @@ Mlp::Mlp(std::vector<int> layer_sizes, Activation act, std::uint64_t seed,
     : sizes_(std::move(layer_sizes)), act_(act) {
   if (sizes_.size() < 2) {
     throw std::invalid_argument("Mlp needs at least input and output sizes");
+  }
+  for (int width : sizes_) {
+    if (width < 1) {
+      throw std::invalid_argument("Mlp: layer width " + std::to_string(width) +
+                                  " is below 1");
+    }
   }
   std::size_t offset = 0;
   for (std::size_t i = 0; i + 1 < sizes_.size(); ++i) {
@@ -277,46 +284,120 @@ Mlp::BatchTrace Mlp::batch_trace(int capacity) const {
   for (int width : sizes_) {
     trace.acts.emplace_back(cap * static_cast<std::size_t>(width), 0.0);
   }
-  const int widest = *std::max_element(sizes_.begin() + 1, sizes_.end());
-  trace.delta.assign(cap * static_cast<std::size_t>(widest), 0.0);
-  trace.delta_below.assign(cap * static_cast<std::size_t>(widest), 0.0);
+  for (const Layer& layer : layers_) {
+    trace.deltas.emplace_back(cap * static_cast<std::size_t>(layer.out), 0.0);
+  }
   return trace;
 }
 
 void Mlp::forward_trace_batch(const double* x, int rows,
                               BatchTrace& trace) const {
+  const std::size_t cap = static_cast<std::size_t>(trace.capacity);
   bool fits = rows >= 0 && rows <= trace.capacity &&
-              trace.acts.size() == sizes_.size();
+              trace.acts.size() == sizes_.size() &&
+              trace.deltas.size() == layers_.size();
   for (std::size_t l = 0; fits && l < sizes_.size(); ++l) {
-    fits = trace.acts[l].size() == static_cast<std::size_t>(trace.capacity) *
-                                       static_cast<std::size_t>(sizes_[l]);
+    fits = trace.acts[l].size() == cap * static_cast<std::size_t>(sizes_[l]);
+  }
+  for (std::size_t l = 0; fits && l < layers_.size(); ++l) {
+    fits = trace.deltas[l].size() ==
+           cap * static_cast<std::size_t>(layers_[l].out);
   }
   if (!fits) {
     throw std::invalid_argument(
         "Mlp::forward_trace_batch: trace does not fit this net and batch");
   }
   std::copy(x, x + static_cast<std::size_t>(rows) * sizes_.front(),
-            trace.acts.front().begin());
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    layer_forward(layers_[li], li + 1 == layers_.size(),
-                  trace.acts[li].data(), rows, trace.acts[li + 1].data());
-  }
+            trace.input());
   trace.rows = rows;
+  forward_rows(trace, 0, rows);
+}
+
+void Mlp::forward_rows(BatchTrace& trace, int begin, int end) const {
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const Layer& layer = layers_[li];
+    layer_forward(layer, li + 1 == layers_.size(),
+                  trace.acts[li].data() +
+                      static_cast<std::size_t>(begin) * layer.in,
+                  end - begin,
+                  trace.acts[li + 1].data() +
+                      static_cast<std::size_t>(begin) * layer.out);
+  }
 }
 
 void Mlp::backward_batch(BatchTrace& trace, const double* d_output,
                          double* d_input) {
-  const int rows = trace.rows;
-  // dLoss/d(pre-activation) of the current layer, rows x layer.out; the
-  // output layer is linear, so it starts as the caller's d_output.
-  const double* delta = d_output;
+  double* top = trace.d_output();
+  if (d_output != top) {
+    std::copy(d_output,
+              d_output + static_cast<std::size_t>(trace.rows) *
+                             static_cast<std::size_t>(sizes_.back()),
+              top);
+  }
+  backward_rows(trace, 0, trace.rows, d_input);
+  accumulate_grads(trace, 0, grad_rows());
+}
+
+void Mlp::backward_rows(BatchTrace& trace, int begin, int end,
+                        double* d_input) const {
   for (std::size_t li = layers_.size(); li-- > 0;) {
+    if (li == 0 && d_input == nullptr) break;
     const Layer& layer = layers_[li];
     const std::size_t in = static_cast<std::size_t>(layer.in);
     const std::size_t out = static_cast<std::size_t>(layer.out);
+    const double* w = params_.data() + layer.w_off;
+    const double* delta = trace.deltas[li].data();
+    double* below = li == 0 ? d_input : trace.deltas[li - 1].data();
+    for (int r = begin; r < end; ++r) {
+      const double* g = delta + static_cast<std::size_t>(r) * out;
+      double* d = below + static_cast<std::size_t>(r) * in;
+      std::size_t c = 0;
+      for (; c + kColBlock <= in; c += kColBlock) {
+        input_grad_block<kColBlock>(d + c, g, out, w + c, in);
+      }
+      for (; c < in; ++c) input_grad_block<1>(d + c, g, out, w + c, in);
+    }
+    if (li == 0) break;
+    // Through the activation below, from its cached post-activations (for
+    // tanh, d act/d pre = 1 - a^2; for relu, 1[a > 0]), as backward() does.
     const double* x = trace.acts[li].data();
+    const std::size_t stop = static_cast<std::size_t>(end) * in;
+    for (std::size_t k = static_cast<std::size_t>(begin) * in; k < stop; ++k) {
+      const double a = x[k];
+      below[k] *=
+          act_ == Activation::Tanh ? (1.0 - a * a) : (a > 0.0 ? 1.0 : 0.0);
+    }
+  }
+}
 
-    for (std::size_t o = 0; o < out; ++o) {
+int Mlp::grad_rows() const {
+  int n = 0;
+  for (const Layer& layer : layers_) n += layer.out;
+  return n;
+}
+
+int Mlp::grad_row_fan_in(int u) const {
+  for (const Layer& layer : layers_) {
+    if (u < layer.out) return layer.in;
+    u -= layer.out;
+  }
+  throw std::out_of_range("Mlp::grad_row_fan_in: no such gradient row");
+}
+
+void Mlp::accumulate_grads(const BatchTrace& trace, int begin, int end) {
+  const int rows = trace.rows;
+  int first = 0;  // the layer's first gradient row
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const Layer& layer = layers_[li];
+    const int lo = std::max(begin - first, 0);
+    const int hi = std::min(end - first, layer.out);
+    first += layer.out;
+    const std::size_t in = static_cast<std::size_t>(layer.in);
+    const std::size_t out = static_cast<std::size_t>(layer.out);
+    const double* x = trace.acts[li].data();
+    const double* delta = trace.deltas[li].data();
+    for (int k = lo; k < hi; ++k) {
+      const std::size_t o = static_cast<std::size_t>(k);
       double* gw = grads_.data() + layer.w_off + o * in;
       std::size_t c = 0;
       for (; c + kColBlock <= in; c += kColBlock) {
@@ -330,30 +411,6 @@ void Mlp::backward_batch(BatchTrace& trace, const double* d_output,
         gb += delta[static_cast<std::size_t>(r) * out + o];
       }
     }
-
-    if (li == 0 && d_input == nullptr) break;
-    double* below = li == 0 ? d_input : trace.delta_below.data();
-    const double* w = params_.data() + layer.w_off;
-    for (int r = 0; r < rows; ++r) {
-      const double* g = delta + static_cast<std::size_t>(r) * out;
-      double* d = below + static_cast<std::size_t>(r) * in;
-      std::size_t c = 0;
-      for (; c + kColBlock <= in; c += kColBlock) {
-        input_grad_block<kColBlock>(d + c, g, out, w + c, in);
-      }
-      for (; c < in; ++c) input_grad_block<1>(d + c, g, out, w + c, in);
-    }
-    if (li == 0) break;
-    // Through the activation below, from its cached post-activations (for
-    // tanh, d act/d pre = 1 - a^2; for relu, 1[a > 0]), as backward() does.
-    const std::size_t n = static_cast<std::size_t>(rows) * in;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double a = x[k];
-      below[k] *=
-          act_ == Activation::Tanh ? (1.0 - a * a) : (a > 0.0 ? 1.0 : 0.0);
-    }
-    trace.delta.swap(trace.delta_below);
-    delta = trace.delta.data();
   }
 }
 
@@ -416,14 +473,23 @@ Adam::Adam(std::size_t n, double lr, double beta1, double beta2, double eps)
       v_(n, 0.0) {}
 
 void Adam::step(std::vector<double>& params, const std::vector<double>& grads) {
+  begin_step();
+  update(params.data(), grads.data(), 0, params.size());
+}
+
+void Adam::begin_step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
+  bc1_ = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  bc2_ = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+}
+
+void Adam::update(double* params, const double* grads, std::size_t begin,
+                  std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
     m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * grads[i];
     v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * grads[i] * grads[i];
-    const double m_hat = m_[i] / bc1;
-    const double v_hat = v_[i] / bc2;
+    const double m_hat = m_[i] / bc1_;
+    const double v_hat = v_[i] / bc2_;
     params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
   }
 }

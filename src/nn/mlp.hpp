@@ -21,7 +21,8 @@ class Mlp {
  public:
   /// layer_sizes = {in, hidden..., out}. Hidden layers use `act`; the output
   /// layer is linear with weights scaled by `final_scale` at init (small
-  /// values keep an initial policy near-uniform, which PPO likes).
+  /// values keep an initial policy near-uniform, which PPO likes). Throws
+  /// std::invalid_argument on fewer than two sizes or a width below 1.
   Mlp(std::vector<int> layer_sizes, Activation act, std::uint64_t seed,
       double final_scale = 1.0);
 
@@ -51,16 +52,20 @@ class Mlp {
   std::vector<double> backward(const Trace& trace,
                                const std::vector<double>& d_output);
 
-  /// Activations of one forward_trace_batch() pass plus the scratch its
-  /// backward_batch() needs, all row-major. Made once by batch_trace() for
-  /// up to `capacity` rows; the batch calls then never allocate.
+  /// Activations and deltas of one batch pass, all row-major. Made once by
+  /// batch_trace() for up to `capacity` rows; the batch calls then never
+  /// allocate.
   struct BatchTrace {
     int capacity = 0;
-    int rows = 0;  // rows recorded by the last forward_trace_batch()
+    int rows = 0;  // rows in the current batch
     /// acts[l] holds the input to layer l; acts.back() the network output.
     std::vector<std::vector<double>> acts;
-    std::vector<double> delta, delta_below;  // dLoss/d(pre-activation)
+    /// deltas[l] holds dLoss/d(pre-activation) of layer l's outputs. The
+    /// output layer is linear, so deltas.back() is dLoss/dOutput.
+    std::vector<std::vector<double>> deltas;
+    double* input() { return acts.front().data(); }
     const double* output() const { return acts.back().data(); }
+    double* d_output() { return deltas.back().data(); }
   };
   BatchTrace batch_trace(int capacity) const;
 
@@ -76,9 +81,42 @@ class Mlp {
   /// row order onto the existing gradient, so the result equals calling
   /// backward() row by row bitwise. When `d_input` is non-null it receives
   /// trace.rows rows of dLoss/dInput (backward()'s return values); null
-  /// skips that product.
+  /// skips that product. Runs backward_rows() over every row, then
+  /// accumulate_grads() over every gradient row.
   void backward_batch(BatchTrace& trace, const double* d_output,
                       double* d_input = nullptr);
+
+  // ---- range kernels: one batch split across threads ---------------------
+  // forward_trace_batch() and backward_batch() run these over the whole
+  // batch. A caller that splits a batch across threads sets trace.rows,
+  // fills its rows of trace.input(), runs forward_rows(), fills the same
+  // rows of trace.d_output() and runs backward_rows(), each over disjoint
+  // row ranges; once every row's deltas are in, it runs accumulate_grads()
+  // over disjoint gradient-row ranges. Each value comes from the same
+  // arithmetic in the same order as in the whole-batch calls, so any split
+  // gives the same bits. The kernels do not check their arguments: the
+  // trace must fit this net, rows lie in [0, trace.rows) and gradient rows
+  // in [0, grad_rows()).
+
+  /// Layer activations of rows [begin, end) from their trace.input().
+  void forward_rows(BatchTrace& trace, int begin, int end) const;
+
+  /// Deltas of rows [begin, end) from their trace.d_output(), down to
+  /// deltas[0]; with a non-null `d_input`, also rows [begin, end) of
+  /// dLoss/dInput (row r at d_input + r * input_size()).
+  void backward_rows(BatchTrace& trace, int begin, int end,
+                     double* d_input = nullptr) const;
+
+  /// Gradient rows: one per layer output, numbered layer by layer from the
+  /// input side. Gradient row u holds that output's weight row and bias.
+  int grad_rows() const;
+  /// The weights in gradient row u: its layer's input width. Throws
+  /// std::out_of_range unless u is in [0, grad_rows()).
+  int grad_row_fan_in(int u) const;
+
+  /// Adds every row of the batch, in row order, onto gradient rows
+  /// [begin, end), as backward() does one row at a time.
+  void accumulate_grads(const BatchTrace& trace, int begin, int end);
 
   void zero_grad();
 
@@ -126,7 +164,16 @@ class Adam {
   explicit Adam(std::size_t n, double lr = 3e-4, double beta1 = 0.9,
                 double beta2 = 0.999, double eps = 1e-8);
 
+  /// begin_step(), then update() over every parameter.
   void step(std::vector<double>& params, const std::vector<double>& grads);
+
+  /// Starts a step: advances the step count and its bias corrections.
+  void begin_step();
+  /// The current step for parameters [begin, end). Disjoint ranges touch
+  /// disjoint state, so threads may update them at the same time.
+  void update(double* params, const double* grads, std::size_t begin,
+              std::size_t end);
+
   void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
 
@@ -134,6 +181,7 @@ class Adam {
   double lr_, beta1_, beta2_, eps_;
   std::vector<double> m_, v_;
   std::int64_t t_ = 0;
+  double bc1_ = 1.0, bc2_ = 1.0;  // the current step's bias corrections
 };
 
 }  // namespace autockt::nn

@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "nn/categorical.hpp"
+#include "rl/update.hpp"
 #include "trace/names.hpp"
 #include "trace/trace.hpp"
 
@@ -25,13 +26,7 @@ namespace {
 
 constexpr int kActions = env::SizingEnv::kActionsPerParam;
 
-struct Transition {
-  std::vector<double> obs;
-  std::vector<int> action;
-  double logp = 0.0;
-  double reward = 0.0;
-  double value = 0.0;
-};
+using detail::Transition;
 
 struct Episode {
   std::vector<Transition> steps;
@@ -39,87 +34,6 @@ struct Episode {
   double bootstrap_value = 0.0; // V(s_T) when truncated by the horizon
   double total_reward = 0.0;
 };
-
-/// Global-norm gradient clipping (in place).
-void clip_grad_norm(std::vector<double>& grads, double max_norm) {
-  double sq = 0.0;
-  for (double g : grads) sq += g * g;
-  const double norm = std::sqrt(sq);
-  if (norm > max_norm && norm > 0.0) {
-    const double scale = max_norm / norm;
-    for (double& g : grads) g *= scale;
-  }
-}
-
-/// Rows per pass of the batched update. A minibatch runs through each net
-/// in chunks of this many rows, so a chunk's activations stay cache-resident
-/// whatever the minibatch size.
-constexpr int kUpdateChunk = 64;
-
-/// What both nets' update passes read: the collected transitions, their
-/// advantages and returns, and every epoch's shuffle (epochs x size()
-/// indices), all drawn before the passes start and never written during
-/// them.
-struct UpdateBatch {
-  const std::vector<const Transition*>& steps;
-  const std::vector<double>& advantages;
-  const std::vector<double>& returns;
-  const std::vector<std::size_t>& orders;
-};
-
-/// One net's update scratch, sized once per train() call.
-struct NetScratch {
-  NetScratch(const nn::Mlp& net, int chunk_rows)
-      : x(static_cast<std::size_t>(chunk_rows) *
-          static_cast<std::size_t>(net.input_size())),
-        d_out(static_cast<std::size_t>(chunk_rows) *
-              static_cast<std::size_t>(net.output_size())),
-        trace(net.batch_trace(chunk_rows)) {}
-  std::vector<double> x;      // the chunk's observations, row-major
-  std::vector<double> d_out;  // the chunk's dLoss/dOutput rows
-  nn::Mlp::BatchTrace trace;
-};
-
-/// Every epoch's minibatches of `batch` through `net`: each minibatch
-/// zeroes the gradients, runs its rows in kUpdateChunk-row chunks (gather
-/// the observations, forward_trace_batch, `chunk_loss` fills dLoss/dOutput,
-/// backward_batch), then clips and takes one optimizer step. Parameters are
-/// fixed within a minibatch and backward_batch adds rows in order, so the
-/// gradients equal a row-at-a-time loop over the minibatch bitwise.
-/// chunk_loss(idx, rows, inv_b, output, d_out) sees the chunk's batch
-/// indices idx[0, rows). Allocates nothing.
-template <class ChunkLoss>
-void train_net(nn::Mlp& net, nn::Adam& opt, NetScratch& scratch,
-               const UpdateBatch& batch, const PpoConfig& config,
-               ChunkLoss&& chunk_loss) {
-  const std::size_t n = batch.steps.size();
-  const std::size_t minibatch = static_cast<std::size_t>(config.minibatch);
-  const std::size_t width = static_cast<std::size_t>(net.input_size());
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    const std::size_t* order =
-        batch.orders.data() + static_cast<std::size_t>(epoch) * n;
-    for (std::size_t start = 0; start < n; start += minibatch) {
-      const std::size_t stop = std::min(start + minibatch, n);
-      const double inv_b = 1.0 / static_cast<double>(stop - start);
-      net.zero_grad();
-      for (std::size_t k = start; k < stop;
-           k += static_cast<std::size_t>(kUpdateChunk)) {
-        const int rows = static_cast<int>(
-            std::min(static_cast<std::size_t>(kUpdateChunk), stop - k));
-        for (int r = 0; r < rows; ++r) {
-          const std::vector<double>& obs = batch.steps[order[k + r]]->obs;
-          std::copy(obs.begin(), obs.end(), scratch.x.data() + r * width);
-        }
-        net.forward_trace_batch(scratch.x.data(), rows, scratch.trace);
-        chunk_loss(order + k, rows, inv_b, scratch.trace.output(),
-                   scratch.d_out.data());
-        net.backward_batch(scratch.trace, scratch.d_out.data());
-      }
-      clip_grad_norm(net.grads(), config.max_grad_norm);
-      opt.step(net.params(), net.grads());
-    }
-  }
-}
 
 /// A thread that runs `pass` each time start() is called; wait() blocks
 /// until that run is done and rethrows what it threw. It is started once
@@ -194,6 +108,37 @@ void PpoConfig::validate() const {
   if (epochs <= 0) {
     throw std::invalid_argument("PpoConfig: epochs must be >= 1 (got " +
                                 std::to_string(epochs) + ")");
+  }
+  if (hidden < 1) {
+    throw std::invalid_argument("PpoConfig: hidden must be >= 1 (got " +
+                                std::to_string(hidden) + ")");
+  }
+  if (hidden_layers < 0) {
+    throw std::invalid_argument(
+        "PpoConfig: hidden_layers must be >= 0 (got " +
+        std::to_string(hidden_layers) + ")");
+  }
+  // Written as !(x > 0) so that NaN fails too. A nonpositive clip norm
+  // would turn every step into ascent or freeze both nets.
+  const std::pair<const char*, double> positive[] = {
+      {"max_grad_norm", max_grad_norm},
+      {"lr_policy", lr_policy},
+      {"lr_value", lr_value}};
+  for (const auto& [name, v] : positive) {
+    if (!(v > 0.0)) {
+      throw std::invalid_argument(std::string("PpoConfig: ") + name +
+                                  " must be > 0 (got " + std::to_string(v) +
+                                  ")");
+    }
+  }
+  const std::pair<const char*, double> unit[] = {{"gamma", gamma},
+                                                 {"gae_lambda", gae_lambda}};
+  for (const auto& [name, v] : unit) {
+    if (!(v >= 0.0 && v <= 1.0)) {
+      throw std::invalid_argument(std::string("PpoConfig: ") + name +
+                                  " must lie in [0, 1] (got " +
+                                  std::to_string(v) + ")");
+    }
   }
 }
 
@@ -404,33 +349,15 @@ TrainHistory PpoAgent::train(
 
   // Update scratch, allocated here once: the update itself allocates
   // nothing. A lane halts at the first episode end at or past its quota,
-  // so it collects at most lane_quota - 1 + horizon steps.
-  const int chunk_rows = std::min(kUpdateChunk, config_.minibatch);
-  NetScratch policy_scratch(policy_, chunk_rows);
-  NetScratch value_scratch(value_, chunk_rows);
-  std::vector<double> head_probs(
-      static_cast<std::size_t>(num_params_ * kActions));
+  // so it collects at most lane_quota - 1 + horizon steps. The team starts
+  // here and sleeps through collection.
   const std::size_t max_lane_steps = static_cast<std::size_t>(
       lane_quota - 1 + std::max(stats_probe.config().horizon, 1));
   std::vector<std::size_t> orders;
   orders.reserve(static_cast<std::size_t>(config_.epochs) *
                  static_cast<std::size_t>(total_lanes) * max_lane_steps);
-  // The value net's update pass: it shares only the read-only batch and
-  // shuffles with the policy's, so it runs on a helper thread beside it.
-  const UpdateBatch* pass_batch = nullptr;
-  double value_loss_acc = 0.0;
-  PassThread value_pass([&] {
-    value_loss_acc = 0.0;
-    train_net(value_, opt_value, value_scratch, *pass_batch, config_,
-              [&](const std::size_t* idx, int rows, double inv_b,
-                  const double* v, double* d_v) {
-                for (int r = 0; r < rows; ++r) {
-                  const double err = v[r] - pass_batch->returns[idx[r]];
-                  value_loss_acc += 0.5 * err * err;
-                  d_v[r] = err * inv_b;
-                }
-              });
-  });
+  detail::ThreadTeam team(detail::update_team_size());
+  detail::PpoUpdate update(policy_, value_, config_, team);
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     trace::TraceSpan iteration_span(trace::names::kRlIteration);
@@ -651,10 +578,9 @@ TrainHistory PpoAgent::train(
 
     // ---- 3. Clipped-surrogate updates -----------------------------------
     // Every epoch's shuffle is drawn here, in the master-stream order of a
-    // per-epoch Fisher-Yates pass. The two nets then share nothing but
-    // these read-only inputs, so the value net trains on a helper thread
-    // beside the policy; each pass's arithmetic and order are fixed, so
-    // the result does not depend on scheduling.
+    // per-epoch Fisher-Yates pass. The update then reads nothing else that
+    // changes, and fixes the order of every sum, so its result does not
+    // depend on the team size or on scheduling.
     const std::size_t n = batch.size();
     orders.resize(static_cast<std::size_t>(config_.epochs) * n);
     for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -668,78 +594,14 @@ TrainHistory PpoAgent::train(
         std::swap(order[i], order[master_rng.bounded(i + 1)]);
       }
     }
-    const UpdateBatch update_batch{batch, advantages, returns, orders};
     const long loss_terms = static_cast<long>(config_.epochs) *
                             static_cast<long>(n);
-    double policy_loss_acc = 0.0;
-    double entropy_acc = 0.0;
-
-    // Scoped via optional: the update span must close before the holdout
-    // probe below opens its own top-level span.
-    std::optional<trace::TraceSpan> update_span;
-    update_span.emplace(trace::names::kRlUpdate);
-    pass_batch = &update_batch;
-    value_pass.start();
-    const std::size_t logit_width =
-        static_cast<std::size_t>(num_params_ * kActions);
-    const auto policy_chunk = [&](const std::size_t* idx, int rows,
-                                  double inv_b, const double* logits,
-                                  double* d_logits) {
-      std::fill(d_logits,
-                d_logits + static_cast<std::size_t>(rows) * logit_width,
-                0.0);
-      double* probs = head_probs.data();
-      for (int r = 0; r < rows; ++r) {
-        const Transition& tr = *batch[idx[r]];
-        const double adv = advantages[idx[r]];
-        const double* z = logits + static_cast<std::size_t>(r) * logit_width;
-        double* dz = d_logits + static_cast<std::size_t>(r) * logit_width;
-
-        double logp_new = 0.0;
-        for (int h = 0; h < num_params_; ++h) {
-          const std::size_t off = static_cast<std::size_t>(h) * kActions;
-          nn::softmax_into(z + off, kActions, probs + off);
-          logp_new += std::log(std::max(
-              probs[off + static_cast<std::size_t>(
-                              tr.action[static_cast<std::size_t>(h)])],
-              1e-12));
-        }
-        const double ratio = std::exp(logp_new - tr.logp);
-        const double unclipped = ratio * adv;
-        const double clipped =
-            std::clamp(ratio, 1.0 - config_.clip, 1.0 + config_.clip) * adv;
-        policy_loss_acc += -std::min(unclipped, clipped);
-
-        // dLoss/dlogp: active only when the unclipped branch is selected.
-        const double dlogp = unclipped <= clipped ? -ratio * adv * inv_b : 0.0;
-
-        for (int h = 0; h < num_params_; ++h) {
-          const std::size_t off = static_cast<std::size_t>(h) * kActions;
-          const double ent = nn::entropy(probs + off, kActions);
-          entropy_acc += ent;
-          for (int j = 0; j < kActions; ++j) {
-            const double p = probs[off + static_cast<std::size_t>(j)];
-            const double onehot =
-                tr.action[static_cast<std::size_t>(h)] == j ? 1.0 : 0.0;
-            double g = dlogp * (onehot - p);
-            // Entropy bonus:
-            //   Loss -= c_H * H  =>  dLoss/dz += c_H * p (log p + H).
-            g += config_.entropy_coef * inv_b * p *
-                 (std::log(std::max(p, 1e-12)) + ent);
-            dz[off + static_cast<std::size_t>(j)] += g;
-          }
-        }
-      }
-    };
-    try {
-      train_net(policy_, opt_policy, policy_scratch, update_batch, config_,
-                policy_chunk);
-    } catch (...) {
-      value_pass.wait();  // it reads this iteration's batch
-      throw;
+    detail::UpdateLosses losses;
+    {
+      trace::TraceSpan update_span(trace::names::kRlUpdate);
+      losses = update.run({batch, advantages, returns, orders}, opt_policy,
+                          opt_value);
     }
-    value_pass.wait();
-    update_span.reset();
 
     // ---- 4. Bookkeeping and early stop -----------------------------------
     IterationStats stats;
@@ -750,10 +612,10 @@ TrainHistory PpoAgent::train(
     stats.goal_rate = goal_sum / static_cast<double>(episode_count);
     stats.mean_episode_len = len_sum / static_cast<double>(episode_count);
     stats.policy_loss =
-        policy_loss_acc / static_cast<double>(std::max(loss_terms, 1L));
+        losses.policy / static_cast<double>(std::max(loss_terms, 1L));
     stats.value_loss =
-        value_loss_acc / static_cast<double>(std::max(loss_terms, 1L));
-    stats.entropy = entropy_acc /
+        losses.value / static_cast<double>(std::max(loss_terms, 1L));
+    stats.entropy = losses.entropy /
                     static_cast<double>(std::max(loss_terms, 1L) * num_params_);
     // Early-stop decision BEFORE the holdout probe, so the final iteration
     // (stopped or not) always carries a fresh holdout measurement.

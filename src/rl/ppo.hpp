@@ -74,8 +74,11 @@ struct PpoConfig {
   /// dominant per-tick costs instead of serializing them.
   bool pipeline_inference = true;
 
-  /// Throws std::invalid_argument on nonpositive worker/lane counts or
-  /// other settings that would hang or divide by zero instead of training.
+  /// Throws std::invalid_argument on settings that would hang, divide by
+  /// zero or train silently wrong instead of training: nonpositive
+  /// worker/lane counts, steps, minibatch or epochs; hidden < 1 or
+  /// hidden_layers < 0; max_grad_norm, lr_policy or lr_value not > 0
+  /// (NaN included); gamma or gae_lambda outside [0, 1].
   void validate() const;
 
   int total_lanes() const { return num_workers * envs_per_worker; }

@@ -56,6 +56,12 @@ TEST(Mlp, FinalScaleShrinksOutputs) {
 
 TEST(Mlp, RejectsDegenerateArchitecture) {
   EXPECT_THROW(Mlp({4}, Activation::Tanh, 1), std::invalid_argument);
+  // A zero or negative width, as Mlp::load rejects it.
+  EXPECT_THROW(Mlp({4, 0, 3}, Activation::Tanh, 1), std::invalid_argument);
+  EXPECT_THROW(Mlp({4, -1, 3}, Activation::Tanh, 1), std::invalid_argument);
+  EXPECT_THROW(Mlp({0, 3}, Activation::Tanh, 1), std::invalid_argument);
+  EXPECT_THROW(Mlp({4, 3, 0}, Activation::Relu, 1), std::invalid_argument);
+  EXPECT_NO_THROW(Mlp({1, 1}, Activation::Tanh, 1));
 }
 
 // The critical correctness test for the whole RL stack: analytic parameter
@@ -197,6 +203,78 @@ TEST_P(MlpBatchKernel, MatchesPerRowReferenceBitwise) {
   for (std::size_t p = 0; p < serial.param_count(); ++p) {
     ASSERT_EQ(batched.grads()[p], serial.grads()[p]) << "param " << p;
     ASSERT_EQ(no_d_input.grads()[p], serial.grads()[p]) << "param " << p;
+  }
+}
+
+// The range kernels a thread team runs: forward_rows and backward_rows
+// over several row ranges, then accumulate_grads over several gradient-row
+// ranges, must give backward_batch's and the per-row loop's bits.
+TEST_P(MlpBatchKernel, RangeKernelsMatchWholeBatchBitwise) {
+  const auto& [rows, act] = GetParam();
+  const std::vector<int> sizes{18, 50, 50, 50, 21};
+  const std::size_t in = 18, out = 21;
+  Mlp ranged(sizes, act, 43);
+  Mlp whole(sizes, act, 43);
+  Mlp serial(sizes, act, 43);
+  Rng rng(static_cast<std::uint64_t>(rows) + 1000);
+  const auto existing =
+      random_vec(static_cast<int>(ranged.param_count()), rng, 0.1);
+  ranged.grads() = existing;
+  whole.grads() = existing;
+  serial.grads() = existing;
+  const auto x = random_vec(rows * static_cast<int>(in), rng);
+  const auto dy = random_vec(rows * static_cast<int>(out), rng);
+
+  // Uneven row ranges, some empty, the middle one off the row blocks.
+  const std::vector<int> row_cuts{0, 0, rows / 3, rows / 3 + (rows > 1),
+                                  rows};
+  auto trace = ranged.batch_trace(rows);
+  trace.rows = rows;
+  std::copy(x.begin(), x.end(), trace.input());
+  std::copy(dy.begin(), dy.end(), trace.d_output());
+  std::vector<double> d_input(static_cast<std::size_t>(rows) * in);
+  // Last range first: no range reads rows outside itself.
+  for (std::size_t k = row_cuts.size() - 1; k-- > 0;) {
+    ranged.forward_rows(trace, row_cuts[k], row_cuts[k + 1]);
+    ranged.backward_rows(trace, row_cuts[k], row_cuts[k + 1],
+                         d_input.data());
+  }
+  // Gradient-row ranges that cut layers mid-way, in a shuffled order.
+  const int units = ranged.grad_rows();
+  ASSERT_EQ(units, 50 + 50 + 50 + 21);
+  const std::vector<int> unit_cuts{0, 7, 50, 51, 120, units - 1, units};
+  for (std::size_t k : {3u, 0u, 5u, 1u, 4u, 2u}) {
+    ranged.accumulate_grads(trace, unit_cuts[k], unit_cuts[k + 1]);
+  }
+
+  auto whole_trace = whole.batch_trace(rows);
+  whole.forward_trace_batch(x.data(), rows, whole_trace);
+  std::vector<double> whole_d_input(static_cast<std::size_t>(rows) * in);
+  whole.backward_batch(whole_trace, dy.data(), whole_d_input.data());
+
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    const std::vector<double> xr(x.begin() + static_cast<long>(r * in),
+                                 x.begin() + static_cast<long>((r + 1) * in));
+    const std::vector<double> dyr(
+        dy.begin() + static_cast<long>(r * out),
+        dy.begin() + static_cast<long>((r + 1) * out));
+    const Mlp::Trace reference = serial.forward_trace(xr);
+    for (std::size_t o = 0; o < out; ++o) {
+      ASSERT_EQ(trace.output()[r * out + o], reference.output[o])
+          << "row " << r << " output " << o;
+    }
+    const auto d_in = serial.backward(reference, dyr);
+    for (std::size_t i = 0; i < in; ++i) {
+      ASSERT_EQ(d_input[r * in + i], d_in[i]) << "row " << r << " input " << i;
+      ASSERT_EQ(whole_d_input[r * in + i], d_in[i]);
+    }
+  }
+  for (std::size_t l = 0; l < trace.deltas.size(); ++l) {
+    ASSERT_EQ(trace.deltas[l], whole_trace.deltas[l]) << "layer " << l;
+  }
+  for (std::size_t p = 0; p < serial.param_count(); ++p) {
+    ASSERT_EQ(ranged.grads()[p], serial.grads()[p]) << "param " << p;
+    ASSERT_EQ(whole.grads()[p], serial.grads()[p]) << "param " << p;
   }
 }
 

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "nn/categorical.hpp"
 #include "nn/mlp.hpp"
 #include "rl/ppo.hpp"
+#include "rl/update.hpp"
 #include "test_helpers.hpp"
 
 using namespace autockt;
@@ -99,11 +104,13 @@ TEST(PpoAgent, LearnsSyntheticSizingProblem) {
 }
 
 TEST(PpoAgent, TrainingIsSeedReproducible) {
+  // Every statistic and every saved weight must repeat exactly, so a sum
+  // whose order depends on thread scheduling fails here.
   auto prob = synth();
   env::EnvConfig env_config;
   env_config.horizon = 10;
 
-  auto run = [&](std::uint64_t seed) {
+  auto run = [&](std::uint64_t seed, std::string* saved) {
     env::SizingEnv probe(prob, env_config);
     rl::PpoConfig config = small_config();
     config.max_iterations = 3;
@@ -114,11 +121,39 @@ TEST(PpoAgent, TrainingIsSeedReproducible) {
     const auto history = agent.train(
         [prob, env_config] { return env::SizingEnv(prob, env_config); },
         targets);
-    return history.iterations.back().mean_episode_reward;
+    std::ostringstream out;
+    agent.save(out);
+    *saved = out.str();
+    return history;
   };
-  EXPECT_DOUBLE_EQ(run(5), run(5));
+  std::string saved_a, saved_b, saved_other;
+  const auto a = run(5, &saved_a);
+  const auto b = run(5, &saved_b);
+  ASSERT_EQ(a.iterations.size(), b.iterations.size());
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    const rl::IterationStats& x = a.iterations[i];
+    const rl::IterationStats& y = b.iterations[i];
+    EXPECT_EQ(x.iteration, y.iteration);
+    EXPECT_EQ(x.cumulative_env_steps, y.cumulative_env_steps);
+    EXPECT_EQ(x.mean_episode_reward, y.mean_episode_reward);
+    EXPECT_EQ(x.goal_rate, y.goal_rate);
+    EXPECT_EQ(x.mean_episode_len, y.mean_episode_len);
+    EXPECT_EQ(x.policy_loss, y.policy_loss);
+    EXPECT_EQ(x.value_loss, y.value_loss);
+    EXPECT_EQ(x.entropy, y.entropy);
+    EXPECT_EQ(x.cumulative_simulations, y.cumulative_simulations);
+    EXPECT_EQ(x.cumulative_cache_hits, y.cumulative_cache_hits);
+    EXPECT_EQ(x.holdout_goal_rate, y.holdout_goal_rate);
+    EXPECT_EQ(x.holdout_evaluated, y.holdout_evaluated);
+  }
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.total_env_steps, b.total_env_steps);
+  EXPECT_EQ(saved_a, saved_b);
   // And a different seed gives a genuinely different trajectory.
-  EXPECT_NE(run(5), run(6));
+  const auto other = run(6, &saved_other);
+  EXPECT_NE(a.iterations.back().mean_episode_reward,
+            other.iterations.back().mean_episode_reward);
+  EXPECT_NE(saved_a, saved_other);
 }
 
 TEST(PpoAgent, EarlyStopOnGoalRate) {
@@ -258,6 +293,38 @@ TEST(PpoConfig, ValidateRejectsNonpositiveRolloutShape) {
   config.epochs = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   EXPECT_NO_THROW(rl::PpoConfig{}.validate());
+
+  // Settings that would train silently wrong: a zero-width net, a clip
+  // norm or learning rate that is not positive, a discount outside [0, 1].
+  const auto rejects = [](auto&& edit) {
+    rl::PpoConfig config;
+    edit(config);
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  rejects([](rl::PpoConfig& c) { c.hidden = 0; });
+  rejects([](rl::PpoConfig& c) { c.hidden = -3; });
+  rejects([](rl::PpoConfig& c) { c.hidden_layers = -1; });
+  for (double bad : {0.0, -0.5, nan}) {
+    rejects([bad](rl::PpoConfig& c) { c.max_grad_norm = bad; });
+    rejects([bad](rl::PpoConfig& c) { c.lr_policy = bad; });
+    rejects([bad](rl::PpoConfig& c) { c.lr_value = bad; });
+  }
+  for (double bad : {-0.01, 1.01, nan}) {
+    rejects([bad](rl::PpoConfig& c) { c.gamma = bad; });
+    rejects([bad](rl::PpoConfig& c) { c.gae_lambda = bad; });
+  }
+  rl::PpoConfig edges;
+  edges.hidden = 1;
+  edges.hidden_layers = 0;
+  edges.gamma = 1.0;
+  edges.gae_lambda = 0.0;
+  edges.max_grad_norm = 1e-9;
+  EXPECT_NO_THROW(edges.validate());
+  // A zero-width net cannot even be built.
+  rl::PpoConfig blind;
+  blind.hidden = 0;
+  EXPECT_THROW(rl::PpoAgent(9, 3, blind), std::invalid_argument);
 }
 
 TEST(PpoAgent, TrainRejectsInvalidRolloutShape) {
@@ -579,3 +646,214 @@ TEST(PpoAgent, SingleWorkerMatchesConfig) {
   EXPECT_GE(history.iterations[0].cumulative_env_steps,
             config.steps_per_iteration);
 }
+
+// ---- the update's thread team ---------------------------------------------
+
+TEST(ThreadTeam, RunsEveryItemOncePerRun) {
+  EXPECT_THROW(rl::detail::ThreadTeam(0), std::invalid_argument);
+  const int size = rl::detail::update_team_size();
+  EXPECT_GE(size, 1);
+  EXPECT_LE(size, rl::detail::kUpdateChunk / 16);
+  for (int threads = 1; threads <= 4; ++threads) {
+    rl::detail::ThreadTeam team(threads);
+    ASSERT_EQ(team.size(), threads);
+    // Item i counts in its own slot, thread t in its own.
+    std::vector<long> per_item(13, 0), expected(13, 0);
+    std::vector<long> per_thread(static_cast<std::size_t>(threads), 0);
+    long total = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const int items = i % 14;  // 0 to 13 items, an empty run included
+      team.run(items, [&](int item, int t) noexcept {
+        ++per_item[static_cast<std::size_t>(item)];
+        ++per_thread[static_cast<std::size_t>(t)];
+      });
+      for (int k = 0; k < items; ++k) ++expected[static_cast<std::size_t>(k)];
+      total += items;
+    }
+    EXPECT_EQ(per_item, expected);
+    long claimed = 0;
+    for (long n : per_thread) claimed += n;
+    EXPECT_EQ(claimed, total);
+    EXPECT_THROW(team.run(-1, [](int, int) noexcept {}),
+                 std::invalid_argument);
+  }
+}
+
+namespace {
+
+/// A synthetic update batch: random observations and actions, logps near
+/// the initial policy's (so both surrogate branches occur), random
+/// advantages and returns, and every epoch's shuffle.
+struct SyntheticBatch {
+  std::vector<rl::detail::Transition> storage;
+  std::vector<const rl::detail::Transition*> steps;
+  std::vector<double> advantages, returns;
+  std::vector<std::size_t> orders;
+};
+
+SyntheticBatch make_batch(const nn::Mlp& policy, int heads, int n, int epochs,
+                          util::Rng& rng) {
+  constexpr int kActions = env::SizingEnv::kActionsPerParam;
+  SyntheticBatch b;
+  b.storage.resize(static_cast<std::size_t>(n));
+  for (auto& tr : b.storage) {
+    tr.obs.resize(static_cast<std::size_t>(policy.input_size()));
+    for (double& x : tr.obs) x = rng.uniform(-1.0, 1.0);
+    const auto logits = policy.forward(tr.obs);
+    tr.logp = rng.uniform(-0.3, 0.3);
+    for (int h = 0; h < heads; ++h) {
+      const int a = static_cast<int>(rng.bounded(kActions));
+      tr.action.push_back(a);
+      const auto probs = nn::softmax_slice(
+          logits, static_cast<std::size_t>(h) * kActions, kActions);
+      tr.logp += std::log(probs[static_cast<std::size_t>(a)]);
+    }
+    b.steps.push_back(&tr);
+    b.advantages.push_back(rng.uniform(-1.5, 1.5));
+    b.returns.push_back(rng.uniform(-1.0, 1.0));
+  }
+  const std::size_t count = static_cast<std::size_t>(n);
+  for (int e = 0; e < epochs; ++e) {
+    std::vector<std::size_t> order(count);
+    for (std::size_t i = 0; i < count; ++i) order[i] = i;
+    for (std::size_t i = count; i-- > 1;) {
+      std::swap(order[i], order[rng.bounded(i + 1)]);
+    }
+    b.orders.insert(b.orders.end(), order.begin(), order.end());
+  }
+  return b;
+}
+
+/// The update one row at a time: forward_trace + backward per row, a
+/// serial global-norm clip and Adam::step per minibatch, loss terms added
+/// in row order (entropy row-major, head-minor). Counts the clipped steps.
+rl::detail::UpdateLosses reference_update(nn::Mlp& policy, nn::Mlp& value,
+                                          nn::Adam& opt_policy,
+                                          nn::Adam& opt_value,
+                                          const SyntheticBatch& b,
+                                          const rl::PpoConfig& config,
+                                          int heads, int* clipped_steps) {
+  constexpr int kActions = env::SizingEnv::kActionsPerParam;
+  const auto clip = [&](std::vector<double>& grads) {
+    double sq = 0.0;
+    for (double g : grads) sq += g * g;
+    const double norm = std::sqrt(sq);
+    if (norm > config.max_grad_norm && norm > 0.0) {
+      const double scale = config.max_grad_norm / norm;
+      for (double& g : grads) g *= scale;
+      ++*clipped_steps;
+    }
+  };
+  rl::detail::UpdateLosses losses;
+  const std::size_t n = b.steps.size();
+  const std::size_t mb = static_cast<std::size_t>(config.minibatch);
+  const std::size_t width = static_cast<std::size_t>(heads) * kActions;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    const std::size_t* order = b.orders.data() + epoch * n;
+    for (std::size_t start = 0; start < n; start += mb) {
+      const std::size_t stop = std::min(start + mb, n);
+      const double inv_b = 1.0 / static_cast<double>(stop - start);
+      policy.zero_grad();
+      value.zero_grad();
+      for (std::size_t k = start; k < stop; ++k) {
+        const rl::detail::Transition& tr = *b.steps[order[k]];
+        const double adv = b.advantages[order[k]];
+        const auto trace = policy.forward_trace(tr.obs);
+        std::vector<double> probs(width), dz(width, 0.0);
+        double logp_new = 0.0;
+        for (int h = 0; h < heads; ++h) {
+          const std::size_t off = static_cast<std::size_t>(h) * kActions;
+          nn::softmax_into(trace.output.data() + off, kActions,
+                           probs.data() + off);
+          logp_new += std::log(std::max(
+              probs[off + static_cast<std::size_t>(tr.action[h])], 1e-12));
+        }
+        const double ratio = std::exp(logp_new - tr.logp);
+        const double unclipped = ratio * adv;
+        const double clipped =
+            std::clamp(ratio, 1.0 - config.clip, 1.0 + config.clip) * adv;
+        losses.policy += -std::min(unclipped, clipped);
+        const double dlogp = unclipped <= clipped ? -ratio * adv * inv_b : 0.0;
+        for (int h = 0; h < heads; ++h) {
+          const std::size_t off = static_cast<std::size_t>(h) * kActions;
+          const double ent = nn::entropy(probs.data() + off, kActions);
+          losses.entropy += ent;
+          for (int j = 0; j < kActions; ++j) {
+            const double p = probs[off + static_cast<std::size_t>(j)];
+            double g = dlogp * ((tr.action[h] == j ? 1.0 : 0.0) - p);
+            g += config.entropy_coef * inv_b * p *
+                 (std::log(std::max(p, 1e-12)) + ent);
+            dz[off + static_cast<std::size_t>(j)] += g;
+          }
+        }
+        policy.backward(trace, dz);
+
+        const auto v_trace = value.forward_trace(tr.obs);
+        const double err = v_trace.output[0] - b.returns[order[k]];
+        losses.value += 0.5 * err * err;
+        value.backward(v_trace, {err * inv_b});
+      }
+      clip(policy.grads());
+      clip(value.grads());
+      opt_policy.step(policy.params(), policy.grads());
+      opt_value.step(value.params(), value.grads());
+    }
+  }
+  return losses;
+}
+
+}  // namespace
+
+// One update on a team of 1-4 threads against the per-row reference: both
+// nets' parameters and the three loss sums, bitwise. 300 transitions in
+// 128-row minibatches leave a short 44-row last minibatch, and two epochs
+// run six Adam steps, so the moments carry over between steps.
+class PpoUpdateTeam : public ::testing::TestWithParam<int> {};
+
+TEST_P(PpoUpdateTeam, MatchesSerialPerRowReferenceBitwise) {
+  constexpr int kObs = 11, kHeads = 4;
+  rl::PpoConfig config;
+  config.minibatch = 128;
+  config.epochs = 2;
+  const auto make_policy = [] {
+    return nn::Mlp({kObs, 50, 50, kHeads * env::SizingEnv::kActionsPerParam},
+                   nn::Activation::Tanh, 17, 0.01);
+  };
+  const auto make_value = [] {
+    return nn::Mlp({kObs, 50, 50, 1}, nn::Activation::Tanh, 18, 1.0);
+  };
+  nn::Mlp policy = make_policy(), value = make_value();
+  nn::Mlp ref_policy = make_policy(), ref_value = make_value();
+  util::Rng rng(29);
+  const SyntheticBatch b = make_batch(policy, kHeads, 300, config.epochs, rng);
+
+  nn::Adam opt_policy(policy.param_count(), config.lr_policy);
+  nn::Adam opt_value(value.param_count(), config.lr_value);
+  rl::detail::ThreadTeam team(GetParam());
+  rl::detail::PpoUpdate update(policy, value, config, team);
+  const rl::detail::UpdateLosses got = update.run(
+      {b.steps, b.advantages, b.returns, b.orders}, opt_policy, opt_value);
+
+  nn::Adam ref_opt_policy(policy.param_count(), config.lr_policy);
+  nn::Adam ref_opt_value(value.param_count(), config.lr_value);
+  int clipped_steps = 0;
+  const rl::detail::UpdateLosses want =
+      reference_update(ref_policy, ref_value, ref_opt_policy, ref_opt_value,
+                       b, config, kHeads, &clipped_steps);
+  // Both branches of the clip ran: some of the 12 net steps clipped.
+  EXPECT_GT(clipped_steps, 0);
+  EXPECT_LT(clipped_steps, 12);
+
+  EXPECT_EQ(got.policy, want.policy);
+  EXPECT_EQ(got.entropy, want.entropy);
+  EXPECT_EQ(got.value, want.value);
+  ASSERT_EQ(policy.params().size(), ref_policy.params().size());
+  for (std::size_t i = 0; i < policy.params().size(); ++i) {
+    ASSERT_EQ(policy.params()[i], ref_policy.params()[i]) << "policy " << i;
+  }
+  for (std::size_t i = 0; i < value.params().size(); ++i) {
+    ASSERT_EQ(value.params()[i], ref_value.params()[i]) << "value " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PpoUpdateTeam, ::testing::Values(1, 2, 3, 4));
