@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "analysis/deck_lint.hpp"
@@ -48,6 +49,20 @@ struct MeasurePlan {
 spice::NodeId probe_node(const spice::Circuit& ckt, const std::string& name) {
   if (name == "0" || name == "gnd") return spice::kGround;
   return ckt.node(name);
+}
+
+/// Structural fingerprint of a circuit: each device's kind and terminal
+/// nodes, in device order. Circuits with equal fingerprints stamp the same
+/// matrix positions, so one workspace serves them all.
+std::string topology_fingerprint(const spice::Circuit& ckt) {
+  std::string out;
+  for (const auto& dev : ckt.devices()) {
+    const spice::DeviceTopology topo = dev->topology();
+    out += std::to_string(static_cast<int>(topo.kind));
+    for (spice::NodeId n : topo.nodes) out += ',' + std::to_string(n);
+    out += ';';
+  }
+  return out;
 }
 
 }  // namespace
@@ -150,11 +165,13 @@ util::Expected<SizingProblem> make_netlist_problem(
   // Validate the deck instantiates and carries the analyses the plan needs
   // (parse_deck already checked; re-check so decks assembled in code fail
   // here, with a problem-level message, rather than at first evaluation).
+  std::string ws_key = "netlist/" + name + "/";
   {
     auto inst = deck.instantiate_default();
     if (!inst.ok()) {
       return util::Error{"deck '" + name + "': " + inst.error().message};
     }
+    ws_key += topology_fingerprint(inst->circuit);
     if (plan.need_ac && inst->ac.empty()) {
       return util::Error{"deck '" + name + "' needs a .ac analysis"};
     }
@@ -170,9 +187,10 @@ util::Expected<SizingProblem> make_netlist_problem(
   // exactly the analyses the measures need as lanes of one pipeline
   // (circuits/lanes.hpp) through one per-(thread, topology) workspace, so
   // repeated evaluations pay no symbolic-factorization cost. Transient
-  // measures are per-lane tails; a single point is a one-lane batch.
+  // measures are per-lane tails; a single point is a one-lane batch. The
+  // workspace key carries the deck's structural fingerprint: two decks
+  // built under one name must not share a workspace.
   auto deck_copy = std::make_shared<const spice::NetlistDeck>(deck);
-  const std::string ws_key = "netlist/" + name;
   auto eval_batch = [deck_copy, plan, ws_key](
                         const std::vector<ParamVector>& points,
                         const std::vector<eval::OpHint*>& hints)

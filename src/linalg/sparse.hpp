@@ -1,7 +1,11 @@
 #pragma once
 // Sparse MNA storage: triplet-assembled structural patterns frozen into
-// compressed-sparse-column (CSC) form, with O(log nnz_col) slot resolution
-// so device stamps write straight into a flat value array.
+// compressed-sparse-column (CSC) form. A pattern resolves (row, col) to its
+// value slot by binary search over the column, O(log nnz_col), and stays
+// O(nnz) in memory. The hot stamping path does not search: slot_table()
+// expands the pattern once into an n x n table of slots, which the owner of
+// the value arrays (spice::SimWorkspace) keeps beside the n x n matrices of
+// its dense fallback, so every stamp resolves in O(1).
 //
 // The split matters for the simulation kernel: a circuit topology's pattern
 // is discovered ONCE (PatternBuilder), frozen into a SparsePattern shared by
@@ -96,6 +100,19 @@ class SparsePattern {
     const int* it = std::lower_bound(first, last, static_cast<int>(row));
     if (it == last || *it != static_cast<int>(row)) return -1;
     return static_cast<int>(it - row_idx_.data());
+  }
+
+  /// Every slot(row, col) at once, row-major: entry [row * n + col] is the
+  /// value slot of (row, col), -1 where structurally zero. O(n^2) memory,
+  /// so the pattern builds it on request and does not keep it.
+  std::vector<int> slot_table() const {
+    std::vector<int> table(n_ * n_, -1);
+    for (std::size_t c = 0; c < n_; ++c) {
+      for (int s = col_ptr_[c]; s < col_ptr_[c + 1]; ++s) {
+        table[static_cast<std::size_t>(row_idx_[s]) * n_ + c] = s;
+      }
+    }
+    return table;
   }
 
   /// Row index stored at value slot `s`.

@@ -8,8 +8,9 @@
 //
 // Stamps write through MnaSink, which targets one of three backends:
 //  * a dense matrix            — the legacy/reference kernel,
-//  * a frozen sparse pattern   — pattern-resolved slot writes into a flat
-//                                value array (the fast kernel; see
+//  * a frozen sparse pattern   — slot writes into a flat value array, each
+//                                slot read from the pattern's n x n slot
+//                                table (the fast kernel; see
 //                                spice/workspace.hpp),
 //  * a PatternBuilder          — the discovery pass that freezes a circuit
 //                                topology's structural pattern once.
@@ -48,15 +49,17 @@ class MnaSink {
   MnaSink() = default;
   /// Dense reference backend (implicit: keeps `Stamp{matrix, b, v}` terse).
   MnaSink(linalg::RealMatrix& dense) : dense_(&dense) {}  // NOLINT(runtime/explicit)
-  /// Pattern-resolved slot writes into `values` (aligned with `pattern`).
-  MnaSink(const linalg::SparsePattern& pattern, double* values)
-      : pattern_(&pattern), values_(values) {}
+  /// Slot writes into `values`: `slots` is the n x n slot table of the
+  /// pattern the values are aligned with (SparsePattern::slot_table()).
+  MnaSink(const int* slots, std::size_t n, double* values)
+      : slots_(slots), n_(n), values_(values) {}
   /// Structural discovery: record positions, ignore values.
   explicit MnaSink(linalg::PatternBuilder& builder) : builder_(&builder) {}
 
   void add(std::size_t row, std::size_t col, double v) {
     if (values_ != nullptr) {
-      const int s = pattern_->slot(row, col);
+      assert(row < n_ && col < n_);
+      const int s = slots_[row * n_ + col];
       assert(s >= 0 && "stamp outside the discovered pattern");
       if (s < 0) return;  // release builds: drop rather than corrupt memory
       values_[s] += v;
@@ -69,7 +72,8 @@ class MnaSink {
 
  private:
   linalg::RealMatrix* dense_ = nullptr;
-  const linalg::SparsePattern* pattern_ = nullptr;
+  const int* slots_ = nullptr;
+  std::size_t n_ = 0;
   double* values_ = nullptr;
   linalg::PatternBuilder* builder_ = nullptr;
 };

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "util/fmt.hpp"
@@ -325,6 +327,18 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
       return i < cols.size() && cols[i] > 0 ? at(line_no, cols[i], msg)
                                             : at_line(line_no, msg);
     };
+    // f_start (token 2) and f_stop (token 3) of an .ac or .noise card.
+    const auto sweep_error = [&](double f0,
+                                 double f1) -> std::optional<util::Error> {
+      if (!(std::isfinite(f0) && f0 > 0.0)) {
+        return err(2, "f_start '" + tokens[2] + "' must be finite and > 0");
+      }
+      if (!(std::isfinite(f1) && f1 > f0)) {
+        return err(3,
+                   "f_stop '" + tokens[3] + "' must be finite and > f_start");
+      }
+      return std::nullopt;
+    };
 
     // ---- directives ------------------------------------------------------
     if (head[0] == '.') {
@@ -357,11 +371,17 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
         auto f1 = parse_spice_number(tokens[3]);
         if (!f0.ok()) return err(2, f0.error().message);
         if (!f1.ok()) return err(3, f1.error().message);
+        if (auto bad = sweep_error(*f0, *f1)) return *bad;
         req.options.f_start = *f0;
         req.options.f_stop = *f1;
         if (tokens.size() > 4) {
           auto ppd = parse_spice_number(tokens[4]);
           if (!ppd.ok()) return err(4, ppd.error().message);
+          if (!(*ppd >= 1.0 && *ppd <= std::numeric_limits<int>::max() &&
+                std::floor(*ppd) == *ppd)) {
+            return err(4, "points per decade '" + tokens[4] +
+                              "' must be a whole number >= 1");
+          }
           req.options.points_per_decade = static_cast<int>(*ppd);
         }
         out.ac.push_back(std::move(req));
@@ -375,6 +395,13 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
         auto dt = parse_spice_number(tokens[3]);
         if (!ts.ok()) return err(2, ts.error().message);
         if (!dt.ok()) return err(3, dt.error().message);
+        if (!(std::isfinite(*ts) && *ts > 0.0)) {
+          return err(2, "t_stop '" + tokens[2] + "' must be finite and > 0");
+        }
+        if (!(std::isfinite(*dt) && *dt > 0.0 && *dt <= *ts)) {
+          return err(3, "dt '" + tokens[3] +
+                          "' must be finite, > 0 and <= t_stop");
+        }
         req.options.t_stop = *ts;
         req.options.dt = *dt;
         out.tran.push_back(std::move(req));
@@ -388,6 +415,7 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
         auto f1 = parse_spice_number(tokens[3]);
         if (!f0.ok()) return err(2, f0.error().message);
         if (!f1.ok()) return err(3, f1.error().message);
+        if (auto bad = sweep_error(*f0, *f1)) return *bad;
         req.options.f_start = *f0;
         req.options.f_stop = *f1;
         out.noise.push_back(std::move(req));

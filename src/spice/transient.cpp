@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -142,6 +143,16 @@ util::Expected<TranResult> transient(const Circuit& circuit,
                                      const OpPoint& initial,
                                      const std::vector<NodeId>& probes,
                                      const TranOptions& options) {
+  // The step count is ceil(t_stop / dt) cast to size_t: reject what has no
+  // such count (dt <= 0, NaN or infinite spans, negative t_stop) instead of
+  // casting it.
+  constexpr auto kMaxSteps =
+      static_cast<double>(std::numeric_limits<std::size_t>::max());
+  const double steps = std::ceil(options.t_stop / options.dt);
+  if (!(options.dt > 0.0) || !(steps >= 0.0 && steps < kMaxSteps)) {
+    return util::Error{"transient: needs dt > 0 and a finite t_stop / dt >= 0",
+                       3};
+  }
   if (options.kernel == SimKernel::Dense) {
     detail::DenseRealDriver driver(circuit.num_unknowns());
     return transient_impl(circuit, driver, initial, probes, options);

@@ -1,7 +1,10 @@
 #include "spice/workspace.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -13,62 +16,120 @@ namespace autockt::spice {
 
 namespace {
 
-// Process-wide kernel counters (relaxed atomics: telemetry, not
-// synchronization). Aggregated across topologies and threads; surfaced
-// through SizingProblem::eval_stats().
-std::atomic<long> g_newton{0};
-std::atomic<long> g_symbolic{0};
-std::atomic<long> g_numeric{0};
-std::atomic<long> g_dense_fallback{0};
-std::atomic<long> g_warm_attempts{0};
-std::atomic<long> g_warm_hits{0};
-std::atomic<long> g_batch_refactor{0};
-std::atomic<long> g_batch_lanes{0};
-std::atomic<long> g_batch_lane_fallback{0};
+// Kernel counters, one block per simulating thread. A block is written only
+// by its own thread (relaxed atomics: telemetry, not synchronization), and
+// is aligned to its own cache lines, so the counts a Newton iteration adds
+// never touch a line another thread writes. Aggregated across topologies
+// and threads by kernel_stats_snapshot(); surfaced through
+// SizingProblem::eval_stats().
+enum Counter : std::size_t {
+  kNewton,
+  kSymbolic,
+  kNumeric,
+  kDenseFallback,
+  kWarmAttempts,
+  kWarmHits,
+  kBatchRefactor,
+  kBatchLanes,
+  kBatchLaneFallback,
+  kCounterCount
+};
+
+struct CounterBlock;
+
+// The live threads' blocks, and the sum of the blocks of threads that have
+// exited. Taken only when a thread registers or exits, and by snapshot and
+// reset, never per count.
+struct CounterRegistry {
+  std::mutex mutex;
+  std::vector<CounterBlock*> live;
+  std::array<long, kCounterCount> retired{};
+};
+
+CounterRegistry& counter_registry() {
+  static auto* registry = new CounterRegistry();  // leaked: outlives threads
+  return *registry;
+}
+
+// One thread's counters: registered on the thread's first count, folded
+// into the retired total when the thread exits.
+struct alignas(64) CounterBlock {
+  std::array<std::atomic<long>, kCounterCount> v{};
+
+  CounterBlock() {
+    CounterRegistry& r = counter_registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.live.push_back(this);
+  }
+  ~CounterBlock() {
+    CounterRegistry& r = counter_registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    for (std::size_t i = 0; i < kCounterCount; ++i) {
+      r.retired[i] += v[i].load(std::memory_order_relaxed);
+    }
+    r.live.erase(std::find(r.live.begin(), r.live.end(), this));
+  }
+  CounterBlock(const CounterBlock&) = delete;
+  CounterBlock& operator=(const CounterBlock&) = delete;
+};
+
+void count(Counter c, long n = 1) {
+  thread_local CounterBlock block;
+  block.v[c].fetch_add(n, std::memory_order_relaxed);
+}
 
 }  // namespace
 
 KernelStats kernel_stats_snapshot() {
+  std::array<long, kCounterCount> sum{};
+  {
+    CounterRegistry& r = counter_registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    sum = r.retired;
+    for (const CounterBlock* block : r.live) {
+      for (std::size_t i = 0; i < kCounterCount; ++i) {
+        sum[i] += block->v[i].load(std::memory_order_relaxed);
+      }
+    }
+  }
   KernelStats s;
-  s.newton_iterations = g_newton.load(std::memory_order_relaxed);
-  s.symbolic_factorizations = g_symbolic.load(std::memory_order_relaxed);
-  s.numeric_factorizations = g_numeric.load(std::memory_order_relaxed);
-  s.dense_fallbacks = g_dense_fallback.load(std::memory_order_relaxed);
-  s.warm_start_attempts = g_warm_attempts.load(std::memory_order_relaxed);
-  s.warm_start_hits = g_warm_hits.load(std::memory_order_relaxed);
-  s.batch_refactorizations = g_batch_refactor.load(std::memory_order_relaxed);
-  s.batch_lanes = g_batch_lanes.load(std::memory_order_relaxed);
-  s.batch_lane_fallbacks =
-      g_batch_lane_fallback.load(std::memory_order_relaxed);
+  s.newton_iterations = sum[kNewton];
+  s.symbolic_factorizations = sum[kSymbolic];
+  s.numeric_factorizations = sum[kNumeric];
+  s.dense_fallbacks = sum[kDenseFallback];
+  s.warm_start_attempts = sum[kWarmAttempts];
+  s.warm_start_hits = sum[kWarmHits];
+  s.batch_refactorizations = sum[kBatchRefactor];
+  s.batch_lanes = sum[kBatchLanes];
+  s.batch_lane_fallbacks = sum[kBatchLaneFallback];
   return s;
 }
 
 void reset_kernel_stats() {
-  g_newton.store(0, std::memory_order_relaxed);
-  g_symbolic.store(0, std::memory_order_relaxed);
-  g_numeric.store(0, std::memory_order_relaxed);
-  g_dense_fallback.store(0, std::memory_order_relaxed);
-  g_warm_attempts.store(0, std::memory_order_relaxed);
-  g_warm_hits.store(0, std::memory_order_relaxed);
-  g_batch_refactor.store(0, std::memory_order_relaxed);
-  g_batch_lanes.store(0, std::memory_order_relaxed);
-  g_batch_lane_fallback.store(0, std::memory_order_relaxed);
+  CounterRegistry& r = counter_registry();
+  std::lock_guard<std::mutex> lock(r.mutex);
+  r.retired.fill(0);
+  for (CounterBlock* block : r.live) {
+    for (std::atomic<long>& v : block->v) {
+      v.store(0, std::memory_order_relaxed);
+    }
+  }
 }
 
 namespace kernel_counters {
 // These are the single choke points for Newton/warm-start accounting, so
-// the trace counters mirror the atomics here rather than at every solver
-// call site.
+// the trace counters mirror the kernel counters here rather than at every
+// solver call site.
 void add_newton_iterations(long n) {
-  g_newton.fetch_add(n, std::memory_order_relaxed);
+  count(kNewton, n);
   trace::counter(trace::names::kSimNewtonIterations, n);
 }
 void add_warm_start_attempt() {
-  g_warm_attempts.fetch_add(1, std::memory_order_relaxed);
+  count(kWarmAttempts);
   trace::counter(trace::names::kSimWarmStartAttempt);
 }
 void add_warm_start_hit() {
-  g_warm_hits.fetch_add(1, std::memory_order_relaxed);
+  count(kWarmHits);
   trace::counter(trace::names::kSimWarmStartHit);
 }
 }  // namespace kernel_counters
@@ -114,7 +175,7 @@ void SimWorkspace::build_real(const Circuit& circuit) {
     pattern_real_ = linalg::SparsePattern(std::move(builder));
   }
   sym_real_ = linalg::SparseLuSymbolic(pattern_real_, pattern_real_.weak());
-  g_symbolic.fetch_add(1, std::memory_order_relaxed);
+  count(kSymbolic);
   lu_real_ = linalg::SparseLuNumeric<double>(sym_real_);
   vals_real_.assign(pattern_real_.nnz(), 0.0);
   real_slot_row_.resize(pattern_real_.nnz());
@@ -124,6 +185,7 @@ void SimWorkspace::build_real(const Circuit& circuit) {
     real_slot_col_[s] = pattern_real_.col_of_slot(s);
   }
   dense_real_ = linalg::RealMatrix(n_, n_);
+  slots_real_ = pattern_real_.slot_table();
 }
 
 void SimWorkspace::build_complex(const Circuit& circuit) {
@@ -143,7 +205,7 @@ void SimWorkspace::build_complex(const Circuit& circuit) {
     pattern_cplx_ = linalg::SparsePattern(std::move(builder));
   }
   sym_cplx_ = linalg::SparseLuSymbolic(pattern_cplx_, pattern_cplx_.weak());
-  g_symbolic.fetch_add(1, std::memory_order_relaxed);
+  count(kSymbolic);
   lu_cplx_ = linalg::SparseLuNumeric<std::complex<double>>(sym_cplx_);
   g_vals_.assign(pattern_cplx_.nnz(), 0.0);
   c_vals_.assign(pattern_cplx_.nnz(), 0.0);
@@ -155,6 +217,7 @@ void SimWorkspace::build_complex(const Circuit& circuit) {
     cplx_slot_col_[s] = pattern_cplx_.col_of_slot(s);
   }
   dense_cplx_ = linalg::ComplexMatrix(n_, n_);
+  slots_cplx_ = pattern_cplx_.slot_table();
 }
 
 bool SimWorkspace::compatible(const Circuit& circuit) const {
@@ -167,15 +230,15 @@ RealStamp SimWorkspace::begin_real(const std::vector<double>& node_v) {
   trace::counter(trace::names::kSimRestampReal);
   std::fill(vals_real_.begin(), vals_real_.end(), 0.0);
   std::fill(rhs_real_.begin(), rhs_real_.end(), 0.0);
-  RealStamp ctx{MnaSink(pattern_real_, vals_real_.data()), rhs_real_,
-                node_v};
+  RealStamp ctx{MnaSink(slots_real_.data(), n_, vals_real_.data()),
+                rhs_real_, node_v};
   ctx.num_nodes = num_nodes_;
   return ctx;
 }
 
 bool SimWorkspace::factor_real() {
   trace::TraceSpan span(trace::names::kSimFactorReal);
-  g_numeric.fetch_add(1, std::memory_order_relaxed);
+  count(kNumeric);
   if (sym_real_.ok() && lu_real_.refactor(vals_real_.data())) {
     real_sparse_ok_ = true;
     return true;
@@ -183,7 +246,7 @@ bool SimWorkspace::factor_real() {
   // Scale-aware pivot check failed (or the pattern is structurally odd):
   // deterministic dense partial-pivot fallback on the same values.
   real_sparse_ok_ = false;
-  g_dense_fallback.fetch_add(1, std::memory_order_relaxed);
+  count(kDenseFallback);
   trace::counter(trace::names::kSimDenseFallback);
   dense_real_.fill(0.0);
   for (std::size_t s = 0; s < vals_real_.size(); ++s) {
@@ -211,16 +274,16 @@ ComplexStamp SimWorkspace::begin_complex(
   std::fill(c_vals_.begin(), c_vals_.end(), 0.0);
   std::fill(rhs_cplx_.begin(), rhs_cplx_.end(),
             std::complex<double>{0.0, 0.0});
-  ComplexStamp ctx{MnaSink(pattern_cplx_, g_vals_.data()),
-                   MnaSink(pattern_cplx_, c_vals_.data()), rhs_cplx_,
-                   op_voltages};
+  ComplexStamp ctx{MnaSink(slots_cplx_.data(), n_, g_vals_.data()),
+                   MnaSink(slots_cplx_.data(), n_, c_vals_.data()),
+                   rhs_cplx_, op_voltages};
   ctx.num_nodes = num_nodes_;
   return ctx;
 }
 
 bool SimWorkspace::factor_complex(double omega) {
   trace::TraceSpan span(trace::names::kSimFactorComplex);
-  g_numeric.fetch_add(1, std::memory_order_relaxed);
+  count(kNumeric);
   for (std::size_t s = 0; s < y_vals_.size(); ++s) {
     y_vals_[s] = {g_vals_[s], omega * c_vals_[s]};
   }
@@ -229,7 +292,7 @@ bool SimWorkspace::factor_complex(double omega) {
     return true;
   }
   cplx_sparse_ok_ = false;
-  g_dense_fallback.fetch_add(1, std::memory_order_relaxed);
+  count(kDenseFallback);
   trace::counter(trace::names::kSimDenseFallback);
   dense_cplx_.fill({0.0, 0.0});
   for (std::size_t s = 0; s < y_vals_.size(); ++s) {
@@ -287,9 +350,9 @@ void SimWorkspace::commit_real_batch_lane(std::size_t lane) {
 bool SimWorkspace::factor_real_batch() {
   trace::TraceSpan span(trace::names::kSimFactorRealBatch);
   const std::size_t K = batch_lanes_real_;
-  g_numeric.fetch_add(static_cast<long>(K), std::memory_order_relaxed);
-  g_batch_refactor.fetch_add(1, std::memory_order_relaxed);
-  g_batch_lanes.fetch_add(static_cast<long>(K), std::memory_order_relaxed);
+  count(kNumeric, static_cast<long>(K));
+  count(kBatchRefactor);
+  count(kBatchLanes, static_cast<long>(K));
   trace::counter(trace::names::kSimBatchRefactor);
   trace::counter(trace::names::kSimBatchLanes, static_cast<std::int64_t>(K));
   if (sym_real_.ok()) {
@@ -306,8 +369,8 @@ bool SimWorkspace::factor_real_batch() {
     }
     // Same deterministic fallback as the scalar kernel, applied per lane:
     // dense partial-pivot LU over exactly this lane's stamped values.
-    g_dense_fallback.fetch_add(1, std::memory_order_relaxed);
-    g_batch_lane_fallback.fetch_add(1, std::memory_order_relaxed);
+    count(kDenseFallback);
+    count(kBatchLaneFallback);
     trace::counter(trace::names::kSimDenseFallback);
     trace::counter(trace::names::kSimBatchLaneFallback);
     dense_real_.fill(0.0);
@@ -380,9 +443,9 @@ void SimWorkspace::commit_complex_batch_lane(std::size_t lane) {
 bool SimWorkspace::factor_complex_batch(double omega) {
   trace::TraceSpan span(trace::names::kSimFactorComplexBatch);
   const std::size_t K = batch_lanes_cplx_;
-  g_numeric.fetch_add(static_cast<long>(K), std::memory_order_relaxed);
-  g_batch_refactor.fetch_add(1, std::memory_order_relaxed);
-  g_batch_lanes.fetch_add(static_cast<long>(K), std::memory_order_relaxed);
+  count(kNumeric, static_cast<long>(K));
+  count(kBatchRefactor);
+  count(kBatchLanes, static_cast<long>(K));
   trace::counter(trace::names::kSimBatchRefactor);
   trace::counter(trace::names::kSimBatchLanes, static_cast<std::int64_t>(K));
   if (sym_cplx_.ok()) {
@@ -400,8 +463,8 @@ bool SimWorkspace::factor_complex_batch(double omega) {
       dense_lu_cplx_lanes_[l].reset();
       continue;
     }
-    g_dense_fallback.fetch_add(1, std::memory_order_relaxed);
-    g_batch_lane_fallback.fetch_add(1, std::memory_order_relaxed);
+    count(kDenseFallback);
+    count(kBatchLaneFallback);
     trace::counter(trace::names::kSimDenseFallback);
     trace::counter(trace::names::kSimBatchLaneFallback);
     dense_cplx_.fill({0.0, 0.0});

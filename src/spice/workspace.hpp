@@ -4,7 +4,8 @@
 //
 //  * the frozen real and complex (G/C) stamp patterns (triplet discovery ->
 //    CSC, see linalg/sparse.hpp), including weak slots for gmin homotopy
-//    diagonals and transient companion conductances;
+//    diagonals and transient companion conductances, each expanded into an
+//    n x n slot table so a stamp finds its value slot with one load;
 //  * the symbolic sparse-LU factorizations (Markowitz pivot order + fill
 //    pattern + compiled elimination program), computed ONCE per topology;
 //  * preallocated value arrays, right-hand sides and solution buffers, so a
@@ -42,7 +43,11 @@ enum class SimKernel { Sparse, Dense };
 
 /// Snapshot of the process-wide simulation-kernel counters. Mirrored into
 /// eval::EvalStats by SizingProblem::eval_stats() so training/deployment
-/// stat dumps report kernel activity alongside simulator traffic.
+/// stat dumps report kernel activity alongside simulator traffic. Each
+/// simulating thread counts into a cache-line-aligned block of its own
+/// (registered on its first count, folded into a retired total when the
+/// thread exits); a snapshot sums the blocks, so no line written per Newton
+/// iteration is shared between threads.
 struct KernelStats {
   long newton_iterations = 0;       // linear solves driven by Newton loops
   long symbolic_factorizations = 0; // once per (thread, topology) + repivots
@@ -55,7 +60,9 @@ struct KernelStats {
   long batch_lane_fallbacks = 0;    // single lanes that went dense in a batch
 };
 
+/// Sum of every live thread's block and the retired total.
 KernelStats kernel_stats_snapshot();
+/// Zero every live thread's block and the retired total.
 void reset_kernel_stats();
 
 namespace kernel_counters {
@@ -166,6 +173,7 @@ class SimWorkspace {
   std::vector<double> x_real_;
   std::vector<int> real_slot_row_, real_slot_col_;  // dense-fallback scatter
   linalg::RealMatrix dense_real_;
+  std::vector<int> slots_real_;  // n x n: pattern_real_.slot_table()
   std::optional<linalg::LuFactorization<double>> dense_lu_real_;
   bool real_sparse_ok_ = false;
   // Real batch lanes (lane-contiguous SoA: slot s of lane l at [s*K + l]).
@@ -190,6 +198,7 @@ class SimWorkspace {
   std::vector<std::complex<double>> x_cplx_;
   std::vector<int> cplx_slot_row_, cplx_slot_col_;
   linalg::ComplexMatrix dense_cplx_;
+  std::vector<int> slots_cplx_;  // n x n: pattern_cplx_.slot_table()
   std::optional<linalg::LuFactorization<std::complex<double>>> dense_lu_cplx_;
   bool cplx_sparse_ok_ = false;
   // Complex batch lanes.
@@ -212,6 +221,13 @@ class SimWorkspace {
 /// key), rebuilt automatically if an incompatible circuit arrives under the
 /// same key. Thread-locality avoids locks; each worker pays the symbolic
 /// cost once per topology and reuses it for every evaluation it runs.
+///
+/// A key must name exactly one topology: the same devices, in the same
+/// order, on the same nodes. compatible() compares only unknown, node,
+/// branch and device counts, so two topologies of equal counts under one
+/// key would share a stale pattern, and release builds drop the stamps
+/// that fall outside it. Callers whose topology is not fixed by the key's
+/// text (deck problems) fold a structural fingerprint into the key.
 SimWorkspace& workspace_for(const Circuit& circuit,
                             const std::string& topology_key);
 

@@ -168,14 +168,22 @@ TEST(Lu, ZeroColumnIsSingular) {
 
 // ---- sparse pattern ---------------------------------------------------------
 
-TEST(SparsePattern, TripletAssemblyAndSlotLookup) {
+namespace {
+
+SparsePattern hand_built_pattern() {
   PatternBuilder b(3);
   b.add(0, 0);
   b.add(2, 1);
   b.add(0, 0);  // duplicate merges
   b.add(1, 2);
   b.add(2, 2, /*weak=*/true);
-  SparsePattern p(std::move(b));
+  return SparsePattern(std::move(b));
+}
+
+}  // namespace
+
+TEST(SparsePattern, TripletAssemblyAndSlotLookup) {
+  const SparsePattern p = hand_built_pattern();
   EXPECT_EQ(p.size(), 3u);
   EXPECT_EQ(p.nnz(), 4u);
   EXPECT_GE(p.slot(0, 0), 0);
@@ -255,7 +263,31 @@ Matrix<T> to_dense(const SparseSystem& sys, const std::vector<T>& vals,
   return a;
 }
 
+/// Every entry of the n x n slot table equals the binary-search slot()
+/// lookup, -1 (structurally zero) included.
+void expect_table_matches_lookup(const SparsePattern& p) {
+  const std::size_t n = p.size();
+  const std::vector<int> table = p.slot_table();
+  ASSERT_EQ(table.size(), n * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      EXPECT_EQ(table[r * n + c], p.slot(r, c))
+          << "(" << r << ", " << c << ")";
+    }
+  }
+}
+
 }  // namespace
+
+TEST(SparsePattern, SlotTableMatchesSlotLookup) {
+  expect_table_matches_lookup(hand_built_pattern());
+  for (int n : {1, 2, 7, 40}) {
+    Rng rng(7000 + static_cast<std::uint64_t>(n));
+    const SparseSystem sys = make_sparse_system(n, 0.25, rng);
+    SCOPED_TRACE(n);
+    expect_table_matches_lookup(sys.pattern);
+  }
+}
 
 class SparseLuProperty : public ::testing::TestWithParam<int> {};
 

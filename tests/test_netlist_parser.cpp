@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "spice/ac.hpp"
 #include "spice/dc.hpp"
 #include "spice/measure.hpp"
 #include "spice/netlist_parser.hpp"
+#include "spice/transient.hpp"
 #include "spice/units.hpp"
 
 using namespace autockt::spice;
@@ -194,6 +197,56 @@ TEST(NetlistParser, RejectsMosfetWithoutWidth) {
 
 TEST(NetlistParser, RejectsBadMosType) {
   EXPECT_FALSE(parse_netlist("m1 d g 0 0 cmos w=1u\n").ok());
+}
+
+TEST(NetlistParser, RejectsUnusableAnalysisOptions) {
+  const std::string head = "v1 a 0 dc 1 ac 1\nr1 a out 1k\nc1 out 0 1p\n";
+  // Each card lands on line 4; the message names the offending token.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {".tran out 1n 0", "dt '0'"},
+      {".tran out 1n -1p", "dt '-1p'"},
+      {".tran out 1n nan", "dt 'nan'"},
+      {".tran out 1n 2n", "dt '2n'"},  // dt > t_stop
+      {".tran out 0 1p", "t_stop '0'"},
+      {".tran out inf 1p", "t_stop 'inf'"},
+      {".ac out 0 1g", "f_start '0'"},
+      {".ac out -1k 1g", "f_start '-1k'"},
+      {".ac out 1k 1k", "f_stop '1k'"},
+      {".ac out 1k inf", "f_stop 'inf'"},
+      {".ac out 1k 1g 0", "points per decade '0'"},
+      {".ac out 1k 1g 2.5", "points per decade '2.5'"},
+      {".ac out 1k 1g 1e10", "points per decade '1e10'"},
+      {".ac out 1k 1g nan", "points per decade 'nan'"},
+      {".noise out 0 1meg", "f_start '0'"},
+      {".noise out 1meg 1k", "f_stop '1k'"},
+  };
+  for (const auto& [card, token] : bad) {
+    const auto parsed = parse_netlist(head + card + "\n");
+    ASSERT_FALSE(parsed.ok()) << card;
+    const std::string& msg = parsed.error().message;
+    EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(token), std::string::npos) << msg;
+  }
+  // The boundaries themselves are fine.
+  EXPECT_TRUE(parse_netlist(head + ".tran out 1n 1n\n").ok());
+  EXPECT_TRUE(parse_netlist(head + ".ac out 1k 1g 1\n").ok());
+}
+
+TEST(Transient, RejectsNonpositiveStepFromApiCallers) {
+  const auto parsed =
+      parse_netlist("v1 a 0 dc 1\nr1 a out 1k\nc1 out 0 1p\n");
+  ASSERT_TRUE(parsed.ok());
+  const auto op = solve_op(parsed->circuit);
+  ASSERT_TRUE(op.ok());
+  TranOptions opt;
+  opt.t_stop = 1e-9;
+  const NodeId out = parsed->circuit.node("out");
+  for (double dt : {0.0, -1e-12, std::nan("")}) {
+    opt.dt = dt;
+    const auto tran = transient(parsed->circuit, *op, {out}, opt);
+    ASSERT_FALSE(tran.ok()) << dt;
+    EXPECT_EQ(tran.error().code, 3);
+  }
 }
 
 TEST(NetlistParser, RejectsUnknownCard) {

@@ -108,6 +108,33 @@ TEST(NetlistProblem, EvaluationMatchesHandBuiltCircuit) {
   }
 }
 
+TEST(NetlistProblem, SameNameDifferentTopologyDoNotShareWorkspace) {
+  // Equal unknown, node, branch and device counts, different wiring: the
+  // per-thread workspace registry must not hand B the pattern of A.
+  const std::string tail =
+      ".param rr 1 5 5\n"
+      ".ac c 1k 10g\n"
+      ".spec gain_vv geq 0.5 1 0.8\n"
+      ".spec f3db_hz geq 1e7 1e8 3e7\n"
+      ".measure gain_vv gain\n"
+      ".measure f3db_hz f3db\n";
+  const std::string deck_a =
+      "vs a 0 dc 1 ac 1\nr1 a b {rr}k\nr2 b c 2k\nc1 c 0 1p\n" + tail;
+  const std::string deck_b =
+      "vs a 0 dc 1 ac 1\nr1 a b {rr}k\nr2 a c 2k\nc1 b c 1p\n" + tail;
+  auto a = make_netlist_problem_from_text(deck_a, "shared_deck_name");
+  auto b = make_netlist_problem_from_text(deck_b, "shared_deck_name");
+  auto b_alone = make_netlist_problem_from_text(deck_b, "deck_b_alone");
+  ASSERT_TRUE(a.ok() && b.ok() && b_alone.ok());
+  for (int ri = 0; ri < 5; ++ri) {
+    ASSERT_TRUE(a->evaluate({ri}).ok());
+    const auto shared = b->evaluate({ri});
+    const auto alone = b_alone->evaluate({ri});
+    ASSERT_TRUE(shared.ok() && alone.ok());
+    EXPECT_EQ(*shared, *alone) << "rr index " << ri;
+  }
+}
+
 TEST(NetlistProblem, RejectsDecksWithoutSizing) {
   auto no_params = make_netlist_problem_from_text(
       "v1 a 0 dc 1\nr1 a 0 1k\n", "bare");

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/ngm_ota.hpp"
@@ -466,6 +467,71 @@ TEST(KernelStats, SurfaceThroughEvalStats) {
   const eval::EvalStats cleared = prob.eval_stats();
   EXPECT_EQ(cleared.newton_iterations, 0);
   EXPECT_EQ(cleared.warm_start_attempts, 0);
+}
+
+namespace {
+
+/// A fixed characterization workload: TIA designs one after another, each
+/// warm-started from the last (scalar DC, AC, noise and transient), and a
+/// two-stage batch (batched DC and AC).
+void characterize_fixed_set() {
+  const auto ptm = spice::TechCard::ptm45();
+  eval::OpHint hint;
+  circuits::TiaBuildOptions tia_opt;
+  tia_opt.hint = &hint;
+  for (int mn : {4, 6, 8, 10}) {
+    circuits::TiaParams p;
+    p.mn = mn;
+    EXPECT_TRUE(circuits::simulate_tia(p, ptm, tia_opt).ok());
+  }
+  std::vector<circuits::TwoStageParams> batch(3);
+  batch[1].w12 = 14e-6;
+  batch[2].cc = 1e-12;
+  for (const auto& r : circuits::simulate_two_stage_batch(batch, ptm)) {
+    EXPECT_TRUE(r.ok());
+  }
+}
+
+std::vector<long> stat_fields(const spice::KernelStats& s) {
+  return {s.newton_iterations,      s.symbolic_factorizations,
+          s.numeric_factorizations, s.dense_fallbacks,
+          s.warm_start_attempts,    s.warm_start_hits,
+          s.batch_refactorizations, s.batch_lanes,
+          s.batch_lane_fallbacks};
+}
+
+std::vector<long> stat_delta(const std::vector<long>& before) {
+  std::vector<long> d = stat_fields(spice::kernel_stats_snapshot());
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] -= before[i];
+  return d;
+}
+
+}  // namespace
+
+TEST(KernelStats, ConcurrentThreadsSumExactly) {
+  // Each thread counts into its own block and retires it when it exits;
+  // the snapshot must see every count of the joined threads exactly once.
+  // Fresh threads build fresh workspaces, so the reference run is on one
+  // too (the symbolic factorizations then match as well).
+  const std::vector<long> start = stat_fields(spice::kernel_stats_snapshot());
+  std::thread(characterize_fixed_set).join();
+  const std::vector<long> one = stat_delta(start);
+  EXPECT_GT(one[0], 0);  // newton_iterations
+  EXPECT_GT(one[1], 0);  // symbolic_factorizations
+  EXPECT_GT(one[4], 0);  // warm_start_attempts
+  EXPECT_GT(one[6], 0);  // batch_refactorizations
+
+  const std::vector<long> before = stat_fields(spice::kernel_stats_snapshot());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) threads.emplace_back(characterize_fixed_set);
+  for (std::thread& t : threads) t.join();
+  const std::vector<long> four = stat_delta(before);
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(four[i], 4 * one[i]) << "KernelStats field " << i;
+  }
+
+  spice::reset_kernel_stats();
+  for (long v : stat_fields(spice::kernel_stats_snapshot())) EXPECT_EQ(v, 0);
 }
 
 TEST(KernelStats, EnvInvalidatesHintsOnReset) {
