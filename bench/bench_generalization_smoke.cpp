@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   config.train_target_count = 20;
   config.ppo.max_iterations = static_cast<int>(args.get_int("iterations", 12));
   config.ppo.steps_per_iteration = static_cast<int>(args.get_int("steps", 600));
-  config.ppo.num_workers = 2;
   config.holdout_target_count =
       static_cast<std::size_t>(args.get_int("holdout", 20));
   config.holdout_interval = 3;

@@ -320,8 +320,8 @@ void append_eval_stats(CounterRows& rows, const std::string& prefix,
   }
 }
 
-/// Short fixed-seed synthetic PPO run (num_workers=1 keeps collection
-/// inline and the simulation counts exactly reproducible).
+/// Short fixed-seed synthetic PPO run (one lane group keeps collection on
+/// the calling thread and the simulation counts exactly reproducible).
 void training_counters(CounterRows& rows) {
   std::printf("[bench] training counters (synthetic, fixed seed)...\n");
   auto problem = std::make_shared<const circuits::SizingProblem>(
@@ -333,6 +333,7 @@ void training_counters(CounterRows& rows) {
   config.ppo.max_iterations = 3;
   config.ppo.steps_per_iteration = 300;
   config.ppo.num_workers = 1;
+  config.ppo.envs_per_worker = 4;
   config.holdout_target_count = 8;
   config.holdout_interval = 2;
   problem->reset_eval_stats();

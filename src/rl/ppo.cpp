@@ -1,18 +1,15 @@
 #include "rl/ppo.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <exception>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <ostream>
-#include <semaphore>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "nn/categorical.hpp"
@@ -26,62 +23,152 @@ namespace {
 
 constexpr int kActions = env::SizingEnv::kActionsPerParam;
 
+/// Rows per work item of the value pass.
+constexpr int kValueItemRows = 16;
+
+using detail::ThreadTeam;
 using detail::Transition;
 
 struct Episode {
   std::vector<Transition> steps;
-  bool terminal_goal = false;   // ended by reaching the target
-  double bootstrap_value = 0.0; // V(s_T) when truncated by the horizon
+  bool terminal_goal = false;     // ended by reaching the target
+  std::vector<double> final_obs;  // last observation when truncated
+  double bootstrap_value = 0.0;   // V(final_obs) when truncated
   double total_reward = 0.0;
 };
 
-/// A thread that runs `pass` each time start() is called; wait() blocks
-/// until that run is done and rethrows what it threw. It is started once
-/// and woken per use, not started per use: every thread attaches to a
-/// glibc malloc arena at its first allocator call (at the latest, when it
-/// exits and frees its start state), and a thread per use raced the exits
-/// of its predecessors for arenas, leaving one more arena of freed
-/// collection memory resident.
-class PassThread {
- public:
-  explicit PassThread(std::function<void()> pass)
-      : pass_(std::move(pass)), thread_([this] { run(); }) {}
-  PassThread(const PassThread&) = delete;
-  PassThread& operator=(const PassThread&) = delete;
-  ~PassThread() {
-    quit_ = true;
-    go_.release();
-  }  // thread_ joins here, before the other members go
-
-  void start() { go_.release(); }
-  void wait() {
-    done_.acquire();
-    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+/// Runs job(item) for every item in [0, items) on `team`. An item's
+/// exception is caught into that item's slot, so the team's job stays
+/// noexcept; once every item is done, the lowest-indexed one is rethrown.
+template <class Job>
+void run_fallible(ThreadTeam& team, int items, const Job& job) {
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(items));
+  team.run(items, [&](int item, int) noexcept {
+    try {
+      job(item);
+    } catch (...) {
+      errors[static_cast<std::size_t>(item)] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
+}
 
- private:
-  void run() {
-    for (;;) {
-      go_.acquire();
-      if (quit_) return;
-      try {
-        pass_();
-      } catch (...) {
-        error_ = std::current_exception();
+/// One row of the value pass: an observation and where its value goes.
+struct ValueRow {
+  const double* obs;
+  double* value;
+};
+
+/// Writes net(row.obs) into every row's slot, in items of kValueItemRows
+/// rows on `team`; thread t runs its items through traces[t]. Row r equals
+/// net.forward() of its observation bitwise, whatever the split.
+void value_pass(const nn::Mlp& net, const std::vector<ValueRow>& rows,
+                std::vector<nn::Mlp::BatchTrace>& traces, ThreadTeam& team) {
+  const std::size_t width = static_cast<std::size_t>(net.input_size());
+  const std::size_t per_item = kValueItemRows;
+  const std::size_t per_run = per_item * ThreadTeam::kMaxItems;
+  for (std::size_t first = 0; first < rows.size(); first += per_run) {
+    const std::size_t count = std::min(per_run, rows.size() - first);
+    const int items = static_cast<int>((count + per_item - 1) / per_item);
+    team.run(items, [&](int item, int t) noexcept {
+      nn::Mlp::BatchTrace& trace = traces[static_cast<std::size_t>(t)];
+      const std::size_t begin =
+          first + static_cast<std::size_t>(item) * per_item;
+      const std::size_t end = std::min(begin + per_item, rows.size());
+      trace.rows = static_cast<int>(end - begin);
+      double* in = trace.input();
+      for (std::size_t r = begin; r < end; ++r) {
+        in = std::copy(rows[r].obs, rows[r].obs + width, in);
       }
-      done_.release();
+      net.forward_rows(trace, 0, trace.rows);
+      for (std::size_t r = begin; r < end; ++r) {
+        *rows[r].value = trace.output()[r - begin];
+      }
+    });
+  }
+}
+
+/// Rolls the nonempty target range [first, last) out greedily through up
+/// to `lanes` lockstep lanes and returns how many reached their target.
+/// Greedy actions and fixed targets make the count independent of the lane
+/// count.
+int count_reached(const PpoAgent& agent,
+                  const std::function<env::SizingEnv()>& env_factory,
+                  const std::vector<circuits::SpecVector>& targets,
+                  std::size_t first, std::size_t last, int lanes) {
+  env::SizingEnv probe = env_factory();
+  // Cold-start every evaluation: holdout probes interleave with training
+  // collection on the shared backend cache, and pinning warm-start off
+  // keeps every memoized result identical to the cold path (the same
+  // contract multi-worker collection relies on).
+  env::EnvConfig holdout_config = probe.config();
+  holdout_config.warm_start = false;
+  const int L = static_cast<int>(std::min(
+      static_cast<std::size_t>(std::max(lanes, 1)), last - first));
+  env::VectorSizingEnv venv(probe.problem_ptr(), holdout_config, L);
+  const int num_params = agent.num_params();
+
+  std::vector<std::vector<double>> obs(static_cast<std::size_t>(L));
+  std::size_t next = first;
+  auto assign = [&](int i) {
+    if (next >= last) return false;
+    venv.set_target(i, targets[next++]);
+    return true;
+  };
+  std::vector<int> to_reset;
+  for (int i = 0; i < L; ++i) {
+    if (assign(i)) to_reset.push_back(i);
+  }
+  {
+    auto fresh = venv.reset_lanes(to_reset);
+    for (std::size_t k = 0; k < to_reset.size(); ++k) {
+      obs[static_cast<std::size_t>(to_reset[k])] = std::move(fresh[k]);
     }
   }
 
-  std::function<void()> pass_;
-  std::counting_semaphore<> go_{0};
-  std::counting_semaphore<> done_{0};
-  // Atomic: a destructor running between start() and the pass (on an
-  // exception path) sets it while the helper may be reading it.
-  std::atomic<bool> quit_{false};
-  std::exception_ptr error_;  // the last pass's exception, if any
-  std::jthread thread_;  // last: starts once every member above exists
-};
+  int reached = 0;
+  std::vector<std::vector<int>> actions(static_cast<std::size_t>(L));
+  std::vector<int> act_lanes;
+  std::vector<double> rows;
+  while (venv.running_count() > 0) {
+    act_lanes.clear();
+    rows.clear();
+    for (int i = 0; i < L; ++i) {
+      if (!venv.lane_running(i)) continue;
+      act_lanes.push_back(i);
+      const auto& o = obs[static_cast<std::size_t>(i)];
+      rows.insert(rows.end(), o.begin(), o.end());
+    }
+    const int n = static_cast<int>(act_lanes.size());
+    const std::vector<int> acts = agent.act_greedy_batch(rows, n);
+    for (int k = 0; k < n; ++k) {
+      actions[static_cast<std::size_t>(act_lanes[k])].assign(
+          acts.begin() + static_cast<std::size_t>(k) * num_params,
+          acts.begin() + static_cast<std::size_t>(k + 1) * num_params);
+    }
+    const auto results = venv.step_all(actions, [](int) { return false; });
+    to_reset.clear();
+    for (int i = 0; i < L; ++i) {
+      const auto& ls = results[static_cast<std::size_t>(i)];
+      if (!ls.stepped) continue;
+      if (!ls.done) {
+        obs[static_cast<std::size_t>(i)] = ls.obs;
+        continue;
+      }
+      reached += ls.goal_met ? 1 : 0;
+      if (assign(i)) to_reset.push_back(i);
+    }
+    if (!to_reset.empty()) {
+      auto fresh = venv.reset_lanes(to_reset);
+      for (std::size_t k = 0; k < to_reset.size(); ++k) {
+        obs[static_cast<std::size_t>(to_reset[k])] = std::move(fresh[k]);
+      }
+    }
+  }
+  return reached;
+}
 
 }  // namespace
 
@@ -94,6 +181,19 @@ void PpoConfig::validate() const {
   if (envs_per_worker <= 0) {
     throw std::invalid_argument(
         "PpoConfig: envs_per_worker must be >= 1 (got " +
+        std::to_string(envs_per_worker) + ")");
+  }
+  // Each lane group is one item of a thread-team run.
+  if (num_workers > ThreadTeam::kMaxItems) {
+    throw std::invalid_argument(
+        "PpoConfig: num_workers must be <= " +
+        std::to_string(ThreadTeam::kMaxItems) + " (got " +
+        std::to_string(num_workers) + ")");
+  }
+  if (envs_per_worker > std::numeric_limits<int>::max() / num_workers) {
+    throw std::invalid_argument(
+        "PpoConfig: num_workers * envs_per_worker must fit in an int (got " +
+        std::to_string(num_workers) + " * " +
         std::to_string(envs_per_worker) + ")");
   }
   if (steps_per_iteration <= 0) {
@@ -234,76 +334,8 @@ double PpoAgent::evaluate_goal_rate(
     int holdout_lanes) const {
   if (targets.empty()) return -1.0;
   trace::TraceSpan span(trace::names::kRlHoldoutProbe);
-  env::SizingEnv probe = env_factory();
-  // Cold-start every evaluation: holdout probes interleave with training
-  // collection on the shared backend cache, and pinning warm-start off
-  // keeps every memoized result identical to the cold path (the same
-  // contract multi-worker collection relies on).
-  env::EnvConfig holdout_config = probe.config();
-  holdout_config.warm_start = false;
-  const int L = std::max(
-      1, std::min(holdout_lanes, static_cast<int>(targets.size())));
-  env::VectorSizingEnv venv(probe.problem_ptr(), holdout_config, L);
-
-  std::vector<int> lane_target(static_cast<std::size_t>(L), -1);
-  std::vector<std::vector<double>> obs(static_cast<std::size_t>(L));
-  std::size_t next = 0;
-  auto assign = [&](int i) {
-    if (next >= targets.size()) return false;
-    lane_target[static_cast<std::size_t>(i)] = static_cast<int>(next);
-    venv.set_target(i, targets[next++]);
-    return true;
-  };
-  std::vector<int> to_reset;
-  for (int i = 0; i < L; ++i) {
-    if (assign(i)) to_reset.push_back(i);
-  }
-  {
-    auto fresh = venv.reset_lanes(to_reset);
-    for (std::size_t k = 0; k < to_reset.size(); ++k) {
-      obs[static_cast<std::size_t>(to_reset[k])] = std::move(fresh[k]);
-    }
-  }
-
-  int reached = 0;
-  std::vector<std::vector<int>> actions(static_cast<std::size_t>(L));
-  std::vector<int> act_lanes;
-  std::vector<double> rows;
-  while (venv.running_count() > 0) {
-    act_lanes.clear();
-    rows.clear();
-    for (int i = 0; i < L; ++i) {
-      if (!venv.lane_running(i)) continue;
-      act_lanes.push_back(i);
-      const auto& o = obs[static_cast<std::size_t>(i)];
-      rows.insert(rows.end(), o.begin(), o.end());
-    }
-    const int n = static_cast<int>(act_lanes.size());
-    const std::vector<int> acts = act_greedy_batch(rows, n);
-    for (int k = 0; k < n; ++k) {
-      actions[static_cast<std::size_t>(act_lanes[k])].assign(
-          acts.begin() + static_cast<std::size_t>(k) * num_params_,
-          acts.begin() + static_cast<std::size_t>(k + 1) * num_params_);
-    }
-    const auto results = venv.step_all(actions, [](int) { return false; });
-    to_reset.clear();
-    for (int i = 0; i < L; ++i) {
-      const auto& ls = results[static_cast<std::size_t>(i)];
-      if (!ls.stepped) continue;
-      if (!ls.done) {
-        obs[static_cast<std::size_t>(i)] = ls.obs;
-        continue;
-      }
-      reached += ls.goal_met ? 1 : 0;
-      if (assign(i)) to_reset.push_back(i);
-    }
-    if (!to_reset.empty()) {
-      auto fresh = venv.reset_lanes(to_reset);
-      for (std::size_t k = 0; k < to_reset.size(); ++k) {
-        obs[static_cast<std::size_t>(to_reset[k])] = std::move(fresh[k]);
-      }
-    }
-  }
+  const int reached = count_reached(*this, env_factory, targets, 0,
+                                    targets.size(), holdout_lanes);
   return static_cast<double>(reached) / static_cast<double>(targets.size());
 }
 
@@ -340,40 +372,47 @@ TrainHistory PpoAgent::train(
 
   const int workers = config_.num_workers;
   const int lanes_per_worker = config_.envs_per_worker;
-  const int total_lanes = workers * lanes_per_worker;
+  const int total_lanes = config_.total_lanes();
   const std::size_t obs_width = static_cast<std::size_t>(obs_size_);
   long cumulative_steps = 0;
   int patience_hits = 0;
-  const int lane_quota =
-      (config_.steps_per_iteration + total_lanes - 1) / total_lanes;
+  // The ceiling of steps / lanes, without the overflow of steps + lanes - 1.
+  const int lane_quota = config_.steps_per_iteration / total_lanes +
+                         (config_.steps_per_iteration % total_lanes != 0);
 
-  // Update scratch, allocated here once: the update itself allocates
-  // nothing. A lane halts at the first episode end at or past its quota,
-  // so it collects at most lane_quota - 1 + horizon steps. The team starts
-  // here and sleeps through collection.
+  // Every phase of an iteration runs on this one team: each lane group
+  // and each holdout probe group is one item, and the value pass and the
+  // update split their rows into items. Update scratch is allocated here
+  // once: the update itself allocates nothing. A lane halts at the first
+  // episode end at or past its quota, so it collects at most
+  // lane_quota - 1 + horizon steps.
   const std::size_t max_lane_steps = static_cast<std::size_t>(
       lane_quota - 1 + std::max(stats_probe.config().horizon, 1));
   std::vector<std::size_t> orders;
   orders.reserve(static_cast<std::size_t>(config_.epochs) *
                  static_cast<std::size_t>(total_lanes) * max_lane_steps);
-  detail::ThreadTeam team(detail::update_team_size());
+  ThreadTeam team(detail::update_team_size());
   detail::PpoUpdate update(policy_, value_, config_, team);
+  std::vector<nn::Mlp::BatchTrace> value_traces(
+      static_cast<std::size_t>(team.size()),
+      value_.batch_trace(kValueItemRows));
+  std::vector<ValueRow> value_rows;
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     trace::TraceSpan iteration_span(trace::names::kRlIteration);
     // ---- 1. Vectorized rollout collection -------------------------------
-    // Each worker thread drives one VectorSizingEnv of lanes_per_worker
+    // Each lane group drives one VectorSizingEnv of lanes_per_worker
     // lockstep lanes: every tick is one batched policy forward plus one
     // evaluate_batch() on the shared backend. Lane seeds are drawn in
     // global lane order, and each lane collects a fixed per-lane step
     // quota, so the episode set depends only on (seed, total_lanes) — not
-    // on the worker split or thread scheduling.
+    // on the group split or on which thread runs a group.
     std::vector<std::vector<Episode>> lane_episodes(
         static_cast<std::size_t>(total_lanes));
     // Episode outcomes (target, goal_met) buffered per global lane. They
     // replay into the sampler after the join, in lane order, so curriculum
-    // state updates deterministically and independently of the worker
-    // split; the sampling distribution itself stays frozen while workers
+    // state updates deterministically and independently of the group
+    // split; the sampling distribution itself stays frozen while groups
     // draw from it.
     std::vector<std::vector<std::pair<circuits::SpecVector, bool>>>
         lane_outcomes(static_cast<std::size_t>(total_lanes));
@@ -384,10 +423,11 @@ TrainHistory PpoAgent::train(
 
     auto collect = [&](int w) {
       const int L = lanes_per_worker;
-      const int base = w * L;
+      const std::size_t base =
+          static_cast<std::size_t>(w) * static_cast<std::size_t>(L);
       env::SizingEnv probe = env_factory();
       // Collection pins warm starting off: warm-started evaluations depend
-      // on each lane's history, and with several workers racing one shared
+      // on each lane's history, and with several groups racing one shared
       // memo cache, which lane's (low-bit different) result gets memoized
       // would depend on thread timing — breaking both run-to-run
       // reproducibility and the worker/lane-split invariance contract.
@@ -397,9 +437,9 @@ TrainHistory PpoAgent::train(
       worker_config.warm_start = false;
       env::VectorSizingEnv venv(probe.problem_ptr(), worker_config, L);
       for (int i = 0; i < L; ++i) {
-        venv.seed_lane(i, lane_seeds[static_cast<std::size_t>(base + i)]);
+        venv.seed_lane(i, lane_seeds[base + static_cast<std::size_t>(i)]);
       }
-      // Outcome reporting stays off: this worker buffers outcomes and the
+      // Outcome reporting stays off: this group buffers outcomes and the
       // trainer replays them in global lane order after the join.
       venv.set_target_sampler(options.sampler, /*report_outcomes=*/false);
 
@@ -417,25 +457,12 @@ TrainHistory PpoAgent::train(
       // Scratch for the per-tick batches over the still-running lanes.
       std::vector<int> act_lanes;
       std::vector<double> rows;
-      int n = 0;
       std::vector<util::Rng*> rngs;
       std::vector<double> logps;
       std::vector<std::vector<int>> actions(static_cast<std::size_t>(L));
-      // The tick's value estimates, computed into preallocated buffers.
-      // They are consumed only after the env step (GAE needs them with the
-      // step's reward), and the value net is a pure read of frozen weights
-      // with no RNG — so with pipelining on, one helper per worker computes
-      // them while step_all() drives the simulator. A thread per tick
-      // instead would race its own exit for a malloc arena every tick.
-      nn::Mlp::BatchTrace value_trace = value_.batch_trace(L);
-      std::vector<double> values(static_cast<std::size_t>(L));
-      const auto infer_values = [&] {
-        value_.forward_trace_batch(rows.data(), n, value_trace);
-        std::copy(value_trace.output(), value_trace.output() + n,
-                  values.begin());
+      const auto continue_lane = [&](int i) {
+        return lane_steps[static_cast<std::size_t>(i)] < lane_quota;
       };
-      std::optional<PassThread> value_helper;
-      if (config_.pipeline_inference) value_helper.emplace(infer_values);
 
       while (venv.running_count() > 0) {
         act_lanes.clear();
@@ -448,7 +475,7 @@ TrainHistory PpoAgent::train(
           rows.insert(rows.end(), o.begin(), o.end());
           rngs.push_back(&venv.lane_rng(i));
         }
-        n = static_cast<int>(act_lanes.size());
+        const int n = static_cast<int>(act_lanes.size());
         const std::vector<int> acts =
             act_sample_batch(rows, n, rngs, &logps);
 
@@ -462,62 +489,42 @@ TrainHistory PpoAgent::train(
           ++lane_steps[li];
         }
 
-        std::vector<env::VectorSizingEnv::LaneStep> results;
-        const auto continue_lane = [&](int i) {
-          return lane_steps[static_cast<std::size_t>(i)] < lane_quota;
-        };
-        if (value_helper) {
-          trace::TraceSpan overlap_span(trace::names::kRlPipelineOverlap);
-          value_helper->start();
-          results = venv.step_all(actions, continue_lane);
-          value_helper->wait();
-        } else {
-          infer_values();
-          results = venv.step_all(actions, continue_lane);
-        }
+        std::vector<env::VectorSizingEnv::LaneStep> results =
+            venv.step_all(actions, continue_lane);
 
         for (int k = 0; k < n; ++k) {
           const std::size_t li = static_cast<std::size_t>(act_lanes[k]);
-          const auto& ls = results[li];
+          env::VectorSizingEnv::LaneStep& ls = results[li];
           Transition tr;
           tr.obs.assign(rows.begin() + static_cast<std::size_t>(k) * obs_width,
                         rows.begin() +
                             static_cast<std::size_t>(k + 1) * obs_width);
           tr.action = actions[li];
           tr.logp = logps[static_cast<std::size_t>(k)];
-          tr.value = values[static_cast<std::size_t>(k)];
           tr.reward = ls.reward;
           Episode& ep = current[li];
           ep.total_reward += ls.reward;
           ep.steps.push_back(std::move(tr));
           if (ls.done) {
             ep.terminal_goal = ls.goal_met;
-            if (!ls.goal_met) ep.bootstrap_value = value(ls.final_obs);
-            lane_episodes[static_cast<std::size_t>(base) + li].push_back(
-                std::move(ep));
+            if (!ls.goal_met) ep.final_obs = std::move(ls.final_obs);
+            lane_episodes[base + li].push_back(std::move(ep));
             ep = Episode{};
-            lane_outcomes[static_cast<std::size_t>(base) + li].emplace_back(
-                episode_target[li], ls.goal_met);
+            lane_outcomes[base + li].emplace_back(episode_target[li],
+                                                  ls.goal_met);
             // The auto-reset already drew the next episode's target.
             episode_target[li] = venv.target(act_lanes[k]);
           }
-          obs[li] = ls.obs;
+          obs[li] = std::move(ls.obs);
         }
       }
     };
 
     {
-      // Main-thread view of the collection phase; worker threads' env
-      // ticks land in their own per-thread trace buffers.
+      // The caller's view of the collection phase; groups that run on
+      // helpers record their env ticks in those threads' trace buffers.
       trace::TraceSpan collect_span(trace::names::kRlCollect);
-      if (workers == 1) {
-        collect(0);
-      } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) threads.emplace_back(collect, w);
-        for (auto& t : threads) t.join();
-      }
+      run_fallible(team, workers, collect);
     }
 
     // Replay buffered episode outcomes into the sampler in global lane
@@ -528,7 +535,28 @@ TrainHistory PpoAgent::train(
       }
     }
 
-    // ---- 2. GAE advantages and returns ----------------------------------
+    // ---- 2. Value estimates ---------------------------------------------
+    // One batched pass of the value net over every collected observation
+    // and every truncated episode's last one. The net does not change
+    // during collection, so these are the values a per-tick pass would
+    // have computed, bit for bit.
+    value_rows.clear();
+    for (auto& episodes : lane_episodes) {
+      for (Episode& ep : episodes) {
+        for (Transition& tr : ep.steps) {
+          value_rows.push_back({tr.obs.data(), &tr.value});
+        }
+        if (!ep.terminal_goal) {
+          value_rows.push_back({ep.final_obs.data(), &ep.bootstrap_value});
+        }
+      }
+    }
+    {
+      trace::TraceSpan value_span(trace::names::kRlValuePass);
+      value_pass(value_, value_rows, value_traces, team);
+    }
+
+    // ---- 3. GAE advantages and returns ----------------------------------
     std::vector<const Transition*> batch;
     std::vector<double> advantages;
     std::vector<double> returns;
@@ -576,7 +604,7 @@ TrainHistory PpoAgent::train(
       for (double& a : advantages) a = (a - mean) / stddev;
     }
 
-    // ---- 3. Clipped-surrogate updates -----------------------------------
+    // ---- 4. Clipped-surrogate updates -----------------------------------
     // Every epoch's shuffle is drawn here, in the master-stream order of a
     // per-epoch Fisher-Yates pass. The update then reads nothing else that
     // changes, and fixes the order of every sum, so its result does not
@@ -603,7 +631,7 @@ TrainHistory PpoAgent::train(
                           opt_value);
     }
 
-    // ---- 4. Bookkeeping and early stop -----------------------------------
+    // ---- 5. Bookkeeping and early stop -----------------------------------
     IterationStats stats;
     stats.iteration = iter;
     stats.cumulative_env_steps = cumulative_steps;
@@ -633,8 +661,25 @@ TrainHistory PpoAgent::train(
 
     if (!options.holdout.empty() &&
         (iter % options.holdout_interval == 0 || last_iteration)) {
-      stats.holdout_goal_rate = evaluate_goal_rate(
-          env_factory, options.holdout.targets(), options.holdout_lanes);
+      // The targets split into contiguous groups, one team item each; the
+      // reached count, and so the rate, does not depend on the split.
+      trace::TraceSpan probe_span(trace::names::kRlHoldoutProbe);
+      const std::vector<circuits::SpecVector>& targets =
+          options.holdout.targets();
+      const std::size_t size = targets.size();
+      const std::size_t groups =
+          std::min(static_cast<std::size_t>(workers), size);
+      std::vector<int> reached(groups, 0);
+      run_fallible(team, static_cast<int>(groups), [&](int item) {
+        const std::size_t g = static_cast<std::size_t>(item);
+        reached[g] =
+            count_reached(*this, env_factory, targets, size * g / groups,
+                          size * (g + 1) / groups, options.holdout_lanes);
+      });
+      stats.holdout_goal_rate =
+          static_cast<double>(
+              std::accumulate(reached.begin(), reached.end(), 0)) /
+          static_cast<double>(size);
       stats.holdout_evaluated = true;
       history.final_holdout_goal_rate = stats.holdout_goal_rate;
     }

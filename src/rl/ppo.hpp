@@ -4,10 +4,11 @@
 // Mirrors the paper's setup: a three-layer, 50-neuron policy network with a
 // factored 3-way categorical head per circuit parameter, a separate value
 // network, GAE(lambda) advantages, the clipped surrogate objective, and
-// parallel trajectory collection (the paper uses Ray/RLlib; we use worker
-// threads, each driving a VectorSizingEnv of `envs_per_worker` lockstep
-// lanes, so every policy forward is batched and every simulation tick is
-// one evaluate_batch() on the shared backend). Each lane's RNG stream is
+// parallel trajectory collection (the paper uses Ray/RLlib; we run
+// `num_workers` lane groups as items of one thread team, each group
+// driving a VectorSizingEnv of `envs_per_worker` lockstep lanes, so every
+// policy forward is batched and every simulation tick is one
+// evaluate_batch() on the shared backend). Each lane's RNG stream is
 // derived from the master seed and its global lane index only, so for a
 // fixed seed the collected trajectories are identical for any worker/lane
 // split with the same total lane count (num_workers * envs_per_worker),
@@ -58,25 +59,22 @@ struct PpoConfig {
   double target_goal_rate = 0.98;
   int stop_patience = 2;
 
-  // Rollout engine shape: num_workers collection threads, each stepping a
-  // VectorSizingEnv of envs_per_worker lockstep lanes. Trajectories depend
-  // only on seed and the product num_workers * envs_per_worker. Both must
-  // be >= 1 (validated by PpoConfig::validate()).
-  int num_workers = 2;
-  int envs_per_worker = 4;
+  // Rollout engine shape: num_workers lane groups, each stepping a
+  // VectorSizingEnv of envs_per_worker lockstep lanes, run as items of the
+  // trainer's thread team, so up to the team's size of groups simulate at
+  // once. The holdout probe splits its targets into as many groups.
+  // Trajectories depend only on seed and the product num_workers *
+  // envs_per_worker. Both must be >= 1 (validated by
+  // PpoConfig::validate()).
+  int num_workers = 4;
+  int envs_per_worker = 2;
   std::uint64_t seed = 1;
 
-  /// Overlap value-network inference with env simulation during collection:
-  /// each tick's value estimates (needed only after the env step, for GAE)
-  /// are computed on a per-worker helper thread while step_all() drives the
-  /// simulator. The value net is read-only during collection and uses no
-  /// RNG, so the overlap is bitwise-deterministic; it pipelines the two
-  /// dominant per-tick costs instead of serializing them.
-  bool pipeline_inference = true;
-
   /// Throws std::invalid_argument on settings that would hang, divide by
-  /// zero or train silently wrong instead of training: nonpositive
-  /// worker/lane counts, steps, minibatch or epochs; hidden < 1 or
+  /// zero, overflow or train silently wrong instead of training:
+  /// nonpositive worker/lane counts, steps, minibatch or epochs; more
+  /// workers than a thread-team run has items, or a lane total
+  /// num_workers * envs_per_worker above INT_MAX; hidden < 1 or
   /// hidden_layers < 0; max_grad_norm, lr_policy or lr_value not > 0
   /// (NaN included); gamma or gae_lambda outside [0, 1].
   void validate() const;
@@ -132,11 +130,13 @@ struct TrainOptions {
   /// Frozen holdout suite the agent never trains on. When non-empty, every
   /// holdout_interval-th iteration (and the last) rolls every holdout
   /// target out greedily and reports the goal-met rate in
-  /// IterationStats::holdout_goal_rate.
+  /// IterationStats::holdout_goal_rate. The targets split into
+  /// PpoConfig::num_workers contiguous groups that roll out on the
+  /// trainer's thread team; the rate does not depend on the split.
   spec::SpecSuite holdout;
   int holdout_interval = 5;
-  /// Lockstep lanes for the holdout rollouts (cost control only; results
-  /// are lane-count-invariant).
+  /// Lockstep lanes of each holdout probe group (cost control only;
+  /// results are lane-count-invariant).
   int holdout_lanes = 8;
 };
 

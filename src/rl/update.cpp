@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <thread>
 
 #include "env/sizing_env.hpp"
@@ -52,40 +51,33 @@ ThreadTeam::ThreadTeam(int size) : size_(size) {
     throw std::invalid_argument("ThreadTeam: size must be >= 1 (got " +
                                 std::to_string(size) + ")");
   }
-  helpers_.resize(static_cast<std::size_t>(size - 1));
-  for (std::size_t i = 0; i < helpers_.size(); ++i) {
-    Helper& h = helpers_[i];
-    h.team = this;
-    h.index = static_cast<int>(i) + 1;
-    const int err = pthread_create(&h.thread, nullptr, &helper_main, &h);
-    if (err != 0) {
-      stop(i);
-      throw std::system_error(err, std::generic_category(),
-                              "ThreadTeam: pthread_create");
+  helpers_.reserve(static_cast<std::size_t>(size - 1));
+  try {
+    for (int t = 1; t < size; ++t) {
+      helpers_.emplace_back([this, t] { helper(t); });
     }
+  } catch (...) {
+    stop();
+    throw;
   }
 }
 
-ThreadTeam::~ThreadTeam() { stop(helpers_.size()); }
+ThreadTeam::~ThreadTeam() { stop(); }
 
-void ThreadTeam::stop(std::size_t started) {
+void ThreadTeam::stop() {
   quit_.store(true, std::memory_order_release);
   generation_.fetch_add(1, std::memory_order_release);
   generation_.notify_all();
-  for (std::size_t i = 0; i < started; ++i) {
-    pthread_join(helpers_[i].thread, nullptr);
-  }
+  for (std::thread& h : helpers_) h.join();
 }
 
-void* ThreadTeam::helper_main(void* arg) {
-  const Helper& self = *static_cast<const Helper*>(arg);
-  ThreadTeam& team = *self.team;
+void ThreadTeam::helper(int t) {
   std::uint32_t seen = 0;
   for (;;) {
-    team.generation_.wait(seen, std::memory_order_acquire);
-    seen = team.generation_.load(std::memory_order_acquire);
-    if (team.quit_.load(std::memory_order_acquire)) return nullptr;
-    team.work(seen, self.index);
+    generation_.wait(seen, std::memory_order_acquire);
+    seen = generation_.load(std::memory_order_acquire);
+    if (quit_.load(std::memory_order_acquire)) return;
+    work(seen, t);
   }
 }
 
@@ -116,6 +108,10 @@ void ThreadTeam::run_erased(int items, const void* job, Call call) {
                                 std::to_string(items) + " out of range");
   }
   if (items == 0) return;
+  if (items == 1) {
+    call(job, 0, 0);  // nothing to share
+    return;
+  }
   job_ = job;
   call_ = call;
   pending_.store(items, std::memory_order_relaxed);

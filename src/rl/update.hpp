@@ -1,8 +1,10 @@
 #pragma once
 // The PPO update behind PpoAgent::train(): every epoch's minibatches of one
 // collected batch through the policy and the value net, on one fork-join
-// thread team. Internal to the trainer; it has its own header so tests can
-// run it on teams of any size. The team size has no public option.
+// thread team. train() runs the rest of each iteration on the same team:
+// the collection lane groups, the value pass and the holdout probe groups.
+// Internal to the trainer; it has its own header so tests can run it on
+// teams of any size. The team size has no public option.
 //
 // Each minibatch runs in kUpdateChunk-row chunks, and each chunk in two
 // fork-join phases over both nets:
@@ -18,11 +20,10 @@
 // parameter ranges. The items are the same at every team size and no sum
 // changes order, so the result is bitwise the same at every team size.
 
-#include <pthread.h>
-
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -59,13 +60,12 @@ struct UpdateBatch {
 /// started once and woken for each run(). A run is a number of work items,
 /// and every thread claims items until none are left, so a helper that is
 /// slow to wake (on a busy host) leaves its share to the others instead of
-/// stalling the run.
+/// stalling the run. A one-item run executes on the calling thread without
+/// waking the helpers.
 ///
-/// Helpers start through pthread_create on a pointer into this object and
-/// never call the allocator. A std::thread would free its heap start state
-/// on the new thread as it exits, and glibc attaches a thread to a malloc
-/// arena at its first allocator call; an extra arena keeps freed memory
-/// resident.
+/// The helpers live as long as the team, so a trainer that owns one team
+/// starts no thread per iteration, and its threads attach to a fixed set
+/// of malloc arenas.
 class ThreadTeam {
  public:
   /// Starts size - 1 helpers. Throws std::invalid_argument when size < 1
@@ -81,9 +81,10 @@ class ThreadTeam {
   /// thread claims it, t being that thread's index (0 for the caller), and
   /// returns once every item is done. Items may run in any order and at
   /// the same time, so each must write only its own outputs and t's
-  /// scratch. The job must not throw (checked here) and must not allocate.
-  /// One thread at a time may call run(). Throws std::invalid_argument
-  /// when items is outside [0, kMaxItems].
+  /// scratch. The job must not throw (checked here): an item that can fail
+  /// catches into a slot of its own, and the caller reads the slots after
+  /// the run. One thread at a time may call run(). Throws
+  /// std::invalid_argument when items is outside [0, kMaxItems].
   template <class Job>
   void run(int items, const Job& job) {
     static_assert(std::is_nothrow_invocable_v<const Job&, int, int>,
@@ -97,17 +98,13 @@ class ThreadTeam {
 
  private:
   using Call = void (*)(const void*, int, int) noexcept;
-  struct Helper {
-    ThreadTeam* team = nullptr;
-    int index = 0;
-    pthread_t thread{};
-  };
 
-  static void* helper_main(void* arg);
+  /// Helper t's loop: sleeps until a run starts, then works on it.
+  void helper(int t);
   void run_erased(int items, const void* job, Call call);
   /// Claims and runs items of run `generation` until none are left.
   void work(std::uint32_t generation, int t);
-  void stop(std::size_t started);
+  void stop();  // wakes, stops and joins the helpers started so far
 
   int size_;
   // The current run's job. Written only while no item is pending.
@@ -118,11 +115,11 @@ class ThreadTeam {
   std::atomic<int> pending_{0};  // items of the current run not yet done
   std::atomic<std::uint32_t> generation_{0};  // bumped to wake the helpers
   std::atomic<bool> quit_{false};
-  std::vector<Helper> helpers_;  // each helper thread points at its entry
+  std::vector<std::thread> helpers_;
 };
 
-/// The team size train() uses: one thread per 16 rows of a chunk, at most
-/// one per hardware thread.
+/// The size of the team train() runs every phase on: one thread per 16
+/// rows of an update chunk, at most one per hardware thread.
 int update_team_size();
 
 /// Loss sums over every epoch, minibatch and row of one update, added in

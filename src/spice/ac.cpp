@@ -33,6 +33,7 @@ util::Expected<std::vector<AcPoint>> ac_sweep(const Circuit& circuit,
                                               const OpPoint& op, NodeId probe_p,
                                               NodeId probe_m,
                                               const AcOptions& options) {
+  if (auto bad = detail::sweep_error(options, "AC sweep", 2)) return *bad;
   const int total =
       sweep_points(options.f_start, options.f_stop, options.points_per_decade);
   std::vector<AcPoint> sweep;
@@ -78,6 +79,10 @@ std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
     const AcOptions& options, SimWorkspace& ws) {
   const std::size_t K = circuits.size();
   std::vector<util::Expected<std::vector<AcPoint>>> results;
+  if (auto bad = detail::sweep_error(options, "AC sweep", 2)) {
+    results.assign(K, *bad);
+    return results;
+  }
   if (K == 1) {
     // One lane: the scalar sweep on `ws` (see solve_op_batch).
     AcOptions one = options;

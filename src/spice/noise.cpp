@@ -19,6 +19,7 @@ util::Expected<NoiseResult> noise_sweep(const Circuit& circuit,
                                         const OpPoint& op, NodeId probe_p,
                                         NodeId probe_m,
                                         const NoiseOptions& options) {
+  if (auto bad = detail::sweep_error(options, "noise sweep", 4)) return *bad;
   const std::size_t n = circuit.num_unknowns();
   const int total = detail::sweep_points(options.f_start, options.f_stop,
                                          options.points_per_decade);
@@ -108,6 +109,10 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     const NoiseOptions& options, SimWorkspace& ws) {
   const std::size_t K = circuits.size();
   std::vector<util::Expected<NoiseResult>> results;
+  if (auto bad = detail::sweep_error(options, "noise sweep", 4)) {
+    results.assign(K, *bad);
+    return results;
+  }
   if (K == 1) {
     // One lane: the scalar sweep on `ws` (see solve_op_batch).
     NoiseOptions one = options;

@@ -4,8 +4,9 @@
 // literals) so that registry() stays the exhaustive catalog — the
 // OBSERVABILITY.md glossary is cross-checked against it by
 // tests/test_trace.cpp, and bench_snapshot keys its counter section off
-// the same names. Append-only: renaming a span breaks committed
-// BENCH_*.json baselines and any downstream trace tooling.
+// the same names. Renaming a span breaks committed BENCH_*.json baselines
+// and any downstream trace tooling; a name leaves only with the code that
+// emitted it.
 
 #include <vector>
 
@@ -25,12 +26,12 @@ inline constexpr const char* kSimSolveRealBatch = "sim/solve_real_batch";
 inline constexpr const char* kSimFactorComplexBatch =
     "sim/factor_complex_batch";
 inline constexpr const char* kSimSolveComplexBatch = "sim/solve_complex_batch";
-inline constexpr const char* kRlPipelineOverlap = "rl/pipeline_overlap";
 inline constexpr const char* kEnvTick = "env/tick";
 inline constexpr const char* kEnvReset = "env/reset";
 inline constexpr const char* kRlIteration = "rl/iteration";
 inline constexpr const char* kRlCollect = "rl/collect";
 inline constexpr const char* kRlUpdate = "rl/update";
+inline constexpr const char* kRlValuePass = "rl/value_pass";
 inline constexpr const char* kRlHoldoutProbe = "rl/holdout_probe";
 inline constexpr const char* kDeployRun = "deploy/run";
 inline constexpr const char* kEvalDiskReplay = "eval/disk_replay";

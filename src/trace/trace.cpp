@@ -36,13 +36,13 @@ const std::vector<NameInfo>& registry() {
        "complex batched G + jwC numeric LU over all lanes"},
       {kSimSolveComplexBatch, "span",
        "complex batched triangular solve (all lanes)"},
-      {kRlPipelineOverlap, "span",
-       "policy inference overlapped with env simulation during collection"},
       {kEnvTick, "span", "one VectorSizingEnv::step_all lockstep tick"},
       {kEnvReset, "span", "one batched VectorSizingEnv reset"},
       {kRlIteration, "span", "one PPO training iteration (collect + update)"},
       {kRlCollect, "span", "rollout collection phase of a PPO iteration"},
       {kRlUpdate, "span", "clipped-surrogate update phase of a PPO iteration"},
+      {kRlValuePass, "span",
+       "value-net pass over an iteration's collected observations"},
       {kRlHoldoutProbe, "span", "greedy goal-rate probe over the holdout suite"},
       {kDeployRun, "span", "one deploy_agent() call over a target set"},
       {kEvalDiskReplay, "span",

@@ -24,7 +24,6 @@ core::AutoCktConfig small_config() {
   core::AutoCktConfig config;
   config.ppo.max_iterations = 20;
   config.ppo.steps_per_iteration = 400;
-  config.ppo.num_workers = 2;
   config.env_config.horizon = 15;
   config.train_target_count = 20;
   config.seed = 5;

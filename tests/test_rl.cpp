@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "nn/categorical.hpp"
@@ -31,7 +37,6 @@ rl::PpoConfig small_config() {
   config.steps_per_iteration = 800;
   config.minibatch = 128;
   config.epochs = 6;
-  config.num_workers = 2;
   config.seed = 3;
   return config;
 }
@@ -294,6 +299,29 @@ TEST(PpoConfig, ValidateRejectsNonpositiveRolloutShape) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   EXPECT_NO_THROW(rl::PpoConfig{}.validate());
 
+  // Lane groups are thread-team items, and the lane total is an int.
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  config = rl::PpoConfig{};
+  config.envs_per_worker = 1;
+  config.num_workers = rl::detail::ThreadTeam::kMaxItems + 1;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.num_workers = kMaxInt;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.num_workers = rl::detail::ThreadTeam::kMaxItems;
+  EXPECT_NO_THROW(config.validate());
+  config.num_workers = 2;
+  config.envs_per_worker = kMaxInt / 2 + 1;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.num_workers = 3;
+  config.envs_per_worker = kMaxInt / 2;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.num_workers = 2;
+  EXPECT_NO_THROW(config.validate());
+  EXPECT_EQ(config.total_lanes(), kMaxInt - 1);
+  config.num_workers = 1;
+  config.envs_per_worker = kMaxInt;
+  EXPECT_NO_THROW(config.validate());
+
   // Settings that would train silently wrong: a zero-width net, a clip
   // norm or learning rate that is not positive, a discount outside [0, 1].
   const auto rejects = [](auto&& edit) {
@@ -339,91 +367,198 @@ TEST(PpoAgent, TrainRejectsInvalidRolloutShape) {
       std::invalid_argument);
 }
 
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+}  // namespace
+
 TEST(PpoAgent, TrajectoriesInvariantUnderWorkerLaneSplit) {
   // The rollout-engine contract: for a fixed seed, training depends only on
   // num_workers * envs_per_worker (lane seeds are drawn in global lane
-  // order and each lane's stream is private), so any split of 4 lanes
-  // produces identical iterations.
+  // order and each lane's stream is private), so any split of 8 lanes
+  // trains the same agent bit for bit, whichever team threads run the lane
+  // groups, the value pass and the holdout probe groups. A 100-row
+  // minibatch also runs the update's short 36-row chunk.
   auto prob = synth();
   env::EnvConfig env_config;
   env_config.horizon = 10;
+  const spec::SpecSpace space(*prob);
+  spec::StratifiedSampler stratified(space, 7);
+  const spec::SpecSuite holdout =
+      spec::SpecSuite::generate(space, stratified, 7, 0xcafe, "probe");
 
-  auto run = [&](int workers, int envs_per_worker) {
+  auto run = [&](int workers, int envs_per_worker, std::string* saved) {
     env::SizingEnv probe(prob, env_config);
     rl::PpoConfig config = small_config();
     config.max_iterations = 3;
+    config.minibatch = 100;
     config.num_workers = workers;
     config.envs_per_worker = envs_per_worker;
     config.seed = 31;
     rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
     util::Rng rng(7);
-    const auto targets = env::sample_targets(*prob, 10, rng);
-    return agent.train(
-        [prob, env_config] { return env::SizingEnv(prob, env_config); },
-        targets);
-  };
-
-  const auto h14 = run(1, 4);
-  const auto h41 = run(4, 1);
-  const auto h22 = run(2, 2);
-  ASSERT_EQ(h14.iterations.size(), h41.iterations.size());
-  ASSERT_EQ(h14.iterations.size(), h22.iterations.size());
-  for (std::size_t i = 0; i < h14.iterations.size(); ++i) {
-    EXPECT_DOUBLE_EQ(h14.iterations[i].mean_episode_reward,
-                     h41.iterations[i].mean_episode_reward);
-    EXPECT_DOUBLE_EQ(h14.iterations[i].mean_episode_reward,
-                     h22.iterations[i].mean_episode_reward);
-    EXPECT_DOUBLE_EQ(h14.iterations[i].policy_loss,
-                     h41.iterations[i].policy_loss);
-    EXPECT_DOUBLE_EQ(h14.iterations[i].value_loss,
-                     h22.iterations[i].value_loss);
-    EXPECT_EQ(h14.iterations[i].cumulative_env_steps,
-              h41.iterations[i].cumulative_env_steps);
-  }
-}
-
-TEST(PpoAgent, PipelinedInferenceMatchesInline) {
-  // Collection's value estimates come from a per-worker helper thread when
-  // pipelined and from the worker itself otherwise; both must train the
-  // same agent bit for bit. A 100-row minibatch also runs the update's
-  // short 36-row chunk.
-  auto prob = synth();
-  env::EnvConfig env_config;
-  env_config.horizon = 10;
-
-  auto run = [&](bool pipelined, std::string* saved) {
-    env::SizingEnv probe(prob, env_config);
-    rl::PpoConfig config = small_config();
-    config.max_iterations = 3;
-    config.minibatch = 100;
-    config.pipeline_inference = pipelined;
-    rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
-    util::Rng rng(7);
-    const auto targets = env::sample_targets(*prob, 10, rng);
+    rl::TrainOptions options;
+    options.sampler = std::make_shared<spec::SuiteSampler>(
+        env::sample_targets(*prob, 10, rng));
+    options.holdout = holdout;
+    options.holdout_interval = 1;
+    options.holdout_lanes = 3;
     const auto history = agent.train(
         [prob, env_config] { return env::SizingEnv(prob, env_config); },
-        targets);
+        options);
     std::ostringstream out;
     agent.save(out);
     *saved = out.str();
     return history;
   };
 
-  std::string saved_pipelined, saved_inline;
-  const auto pipelined = run(true, &saved_pipelined);
-  const auto inline_values = run(false, &saved_inline);
-  ASSERT_EQ(pipelined.iterations.size(), inline_values.iterations.size());
-  for (std::size_t i = 0; i < pipelined.iterations.size(); ++i) {
-    const auto& a = pipelined.iterations[i];
-    const auto& b = inline_values.iterations[i];
-    EXPECT_EQ(a.cumulative_env_steps, b.cumulative_env_steps);
-    EXPECT_EQ(a.mean_episode_reward, b.mean_episode_reward);
-    EXPECT_EQ(a.goal_rate, b.goal_rate);
-    EXPECT_EQ(a.policy_loss, b.policy_loss);
-    EXPECT_EQ(a.value_loss, b.value_loss);
-    EXPECT_EQ(a.entropy, b.entropy);
+  std::string want_saved;
+  const auto want = run(1, 8, &want_saved);
+  ASSERT_EQ(want.iterations.size(), 3u);
+  // The saved agent the 2 x 4 split trained before lane groups ran on the
+  // thread team and values came from one pass after collection.
+  EXPECT_EQ(fnv1a(want_saved), 0x76e672cd353525c8ULL);
+  for (const auto& [workers, envs] :
+       std::vector<std::pair<int, int>>{{2, 4}, {4, 2}, {8, 1}}) {
+    SCOPED_TRACE(std::to_string(workers) + " x " + std::to_string(envs));
+    std::string saved;
+    const auto got = run(workers, envs, &saved);
+    ASSERT_EQ(got.iterations.size(), want.iterations.size());
+    for (std::size_t i = 0; i < got.iterations.size(); ++i) {
+      const rl::IterationStats& x = got.iterations[i];
+      const rl::IterationStats& y = want.iterations[i];
+      EXPECT_EQ(x.iteration, y.iteration);
+      EXPECT_EQ(x.cumulative_env_steps, y.cumulative_env_steps);
+      EXPECT_EQ(bits(x.mean_episode_reward), bits(y.mean_episode_reward));
+      EXPECT_EQ(bits(x.goal_rate), bits(y.goal_rate));
+      EXPECT_EQ(bits(x.mean_episode_len), bits(y.mean_episode_len));
+      EXPECT_EQ(bits(x.policy_loss), bits(y.policy_loss));
+      EXPECT_EQ(bits(x.value_loss), bits(y.value_loss));
+      EXPECT_EQ(bits(x.entropy), bits(y.entropy));
+      // No cache: every evaluation simulates, whichever thread asks.
+      EXPECT_EQ(x.cumulative_simulations, y.cumulative_simulations);
+      EXPECT_EQ(x.cumulative_cache_hits, y.cumulative_cache_hits);
+      EXPECT_TRUE(x.holdout_evaluated);
+      EXPECT_EQ(bits(x.holdout_goal_rate), bits(y.holdout_goal_rate));
+    }
+    EXPECT_EQ(got.total_env_steps, want.total_env_steps);
+    EXPECT_EQ(bits(got.final_holdout_goal_rate),
+              bits(want.final_holdout_goal_rate));
+    EXPECT_EQ(saved, want_saved);
   }
-  EXPECT_EQ(saved_pipelined, saved_inline);
+}
+
+namespace {
+
+struct InjectedFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Forwards to `inner`, except that its `fail_at`-th evaluate_batch call
+/// (counted from 1) throws InjectedFault. Counting at this outermost layer
+/// makes the count a function of the trajectories alone.
+class FaultyBackend : public eval::EvalBackend {
+ public:
+  FaultyBackend(std::shared_ptr<eval::EvalBackend> inner, long fail_at)
+      : inner_(std::move(inner)), fail_at_(fail_at) {}
+  std::string name() const override { return "faulty"; }
+  long batches() const { return batches_.load(); }
+
+ protected:
+  eval::EvalResult do_evaluate(const eval::ParamVector& params,
+                               eval::SimHint* hint) override {
+    return inner_->evaluate(params, hint);
+  }
+  std::vector<eval::EvalResult> do_evaluate_batch(
+      const std::vector<eval::ParamVector>& points,
+      const std::vector<eval::SimHint*>& hints) override {
+    const long call = ++batches_;
+    if (call == fail_at_) {
+      throw InjectedFault("injected fault at batch " + std::to_string(call));
+    }
+    return dispatch_batch(*inner_, points, hints);
+  }
+
+ private:
+  std::shared_ptr<eval::EvalBackend> inner_;
+  const long fail_at_;
+  std::atomic<long> batches_{0};
+};
+
+/// One-iteration training of four lane groups on a synthetic problem whose
+/// backend fails at batch `fail_at` (never when 0). Returns the batches
+/// the backend saw.
+long train_with_fault(long fail_at, bool holdout) {
+  auto built = test_support::make_synthetic_problem(3, 21);
+  auto backend = std::make_shared<FaultyBackend>(built.backend, fail_at);
+  built.backend = backend;
+  auto prob = std::make_shared<const circuits::SizingProblem>(std::move(built));
+  env::EnvConfig env_config;
+  env_config.horizon = 10;
+  env::SizingEnv probe(prob, env_config);
+  rl::PpoConfig config = small_config();
+  config.max_iterations = 1;
+  config.num_workers = 4;
+  config.envs_per_worker = 2;
+  rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
+  util::Rng rng(7);
+  rl::TrainOptions options;
+  options.sampler = std::make_shared<spec::SuiteSampler>(
+      env::sample_targets(*prob, 10, rng));
+  if (holdout) {
+    const spec::SpecSpace space(*prob);
+    spec::StratifiedSampler stratified(space, 9);
+    options.holdout =
+        spec::SpecSuite::generate(space, stratified, 9, 0xcafe, "probe");
+    options.holdout_lanes = 2;
+  }
+  agent.train([prob, env_config] { return env::SizingEnv(prob, env_config); },
+              options);
+  return backend->batches();
+}
+
+/// The message of the InjectedFault train_with_fault() throws, or "" when
+/// it returns or throws anything else.
+std::string fault_message(long fail_at, bool holdout) {
+  try {
+    train_with_fault(fail_at, holdout);
+  } catch (const InjectedFault& e) {
+    return e.what();
+  } catch (...) {
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(PpoAgent, TrainRethrowsAnEvaluationFaultFromAnyPhase) {
+  // A lane group or a holdout probe group that throws on a team helper
+  // must not end the process: train() joins the run and rethrows the
+  // exception, type and message intact, and the team's threads join as
+  // it unwinds.
+  const long collection = train_with_fault(0, false);
+  const long with_probe = train_with_fault(0, true);
+  ASSERT_GT(collection, 8);
+  ASSERT_GT(with_probe, collection);
+  // Collection is the first phase to evaluate, and the probe follows it.
+  EXPECT_EQ(fault_message(3, false), "injected fault at batch 3");
+  EXPECT_EQ(fault_message(collection, false),
+            "injected fault at batch " + std::to_string(collection));
+  EXPECT_EQ(fault_message(collection + 1, true),
+            "injected fault at batch " + std::to_string(collection + 1));
+  EXPECT_EQ(fault_message(with_probe, true),
+            "injected fault at batch " + std::to_string(with_probe));
 }
 
 // ---- spec-scenario training (TrainOptions: sampler + holdout suite) --------
@@ -676,6 +811,15 @@ TEST(ThreadTeam, RunsEveryItemOncePerRun) {
     EXPECT_EQ(claimed, total);
     EXPECT_THROW(team.run(-1, [](int, int) noexcept {}),
                  std::invalid_argument);
+    // A one-item run executes on the calling thread.
+    std::thread::id ran_on;
+    int ran_as = -1;
+    team.run(1, [&](int, int t) noexcept {
+      ran_on = std::this_thread::get_id();
+      ran_as = t;
+    });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    EXPECT_EQ(ran_as, 0);
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "spice/ac.hpp"
 #include "spice/circuit.hpp"
@@ -79,6 +82,94 @@ TEST(AcAnalysis, RcPoleMagnitudeAndPhase) {
   const std::complex<double> h = (*x)[ckt.node("out") - 1];
   EXPECT_NEAR(std::abs(h), 1.0 / std::sqrt(2.0), 1e-6);
   EXPECT_NEAR(std::arg(h) * 180.0 / kPi, -45.0, 1e-3);
+}
+
+TEST(SweepOptions, RejectedBeforeTheSweepIsSized) {
+  // Every sweep entry point checks f_start, f_stop and the resolution, by
+  // the deck parser's rules, before it sizes the log-spaced grid: the grid
+  // size of f_start = 0 or a negative f_start is not a number, and the one
+  // of a huge span overflows an int.
+  Circuit ckt = make_rc(1e3, 1e-9);
+  auto op = solve_op(ckt);
+  ASSERT_TRUE(op.ok());
+  const NodeId out = ckt.node("out");
+  SimWorkspace ws(ckt, SimWorkspace::Sides::Complex);
+  const std::vector<const Circuit*> circuits{&ckt, &ckt};
+  const std::vector<const OpPoint*> ops{&*op, &*op};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  struct Case {
+    double f_start, f_stop;
+    int per_decade;
+    std::string error;
+  };
+  const Case cases[] = {
+      {0.0, 1e6, 10, "f_start 0 must be finite and > 0"},
+      {-1e3, 1e6, 10, "f_start -1000 must be finite and > 0"},
+      {nan, 1e6, 10, "must be finite and > 0"},
+      {inf, 1e6, 10, "f_start inf must be finite and > 0"},
+      {1e3, 1e3, 10, "f_stop 1000 must be finite and > f_start"},
+      {1e3, -1e6, 10, "f_stop -1000000 must be finite and > f_start"},
+      {1e3, inf, 10, "f_stop inf must be finite and > f_start"},
+      {1e3, 1e6, 0, "points per decade 0 must be a whole number >= 1"},
+      {1e3, 1e6, -4, "points per decade -4 must be a whole number >= 1"},
+      {1e3, 1e12, kMaxInt, "has more points than an int holds"},
+      {1e-320, 1e300, 1, "has more points than an int holds"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.error);
+    AcOptions ac;
+    ac.f_start = c.f_start;
+    ac.f_stop = c.f_stop;
+    ac.points_per_decade = c.per_decade;
+    NoiseOptions noise;
+    noise.f_start = c.f_start;
+    noise.f_stop = c.f_stop;
+    noise.points_per_decade = c.per_decade;
+    const auto rejects = [&](const auto& result, const std::string& prefix,
+                             int code) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.error().code, code);
+      EXPECT_EQ(result.error().message.rfind(prefix, 0), 0u)
+          << result.error().message;
+      EXPECT_NE(result.error().message.find(c.error), std::string::npos)
+          << result.error().message;
+    };
+    rejects(ac_sweep(ckt, *op, out, kGround, ac), "AC sweep: ", 2);
+    rejects(noise_sweep(ckt, *op, out, kGround, noise), "noise sweep: ", 4);
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{2}}) {
+      const std::vector<const Circuit*> lane_circuits(circuits.begin(),
+                                                      circuits.begin() +
+                                                          lanes);
+      const std::vector<const OpPoint*> lane_ops(ops.begin(),
+                                                 ops.begin() + lanes);
+      const auto ac_lanes =
+          ac_sweep_batch(lane_circuits, lane_ops, out, kGround, ac, ws);
+      ASSERT_EQ(ac_lanes.size(), lanes);
+      for (const auto& r : ac_lanes) rejects(r, "AC sweep: ", 2);
+      const auto noise_lanes =
+          noise_sweep_batch(lane_circuits, lane_ops, out, kGround, noise, ws);
+      ASSERT_EQ(noise_lanes.size(), lanes);
+      for (const auto& r : noise_lanes) rejects(r, "noise sweep: ", 4);
+    }
+  }
+  // The edges of the rules still sweep: one point per decade over a
+  // decade, and a just-larger f_stop.
+  AcOptions ac;
+  ac.f_start = 1e3;
+  ac.f_stop = 1e4;
+  ac.points_per_decade = 1;
+  EXPECT_TRUE(ac_sweep(ckt, *op, out, kGround, ac).ok());
+  ac.f_stop = std::nextafter(1e3, inf);
+  EXPECT_TRUE(ac_sweep_batch(circuits, ops, out, kGround, ac, ws)[1].ok());
+  NoiseOptions noise;
+  noise.f_start = 1e3;
+  noise.f_stop = 1e4;
+  noise.points_per_decade = 1;
+  EXPECT_TRUE(noise_sweep(ckt, *op, out, kGround, noise).ok());
+  EXPECT_TRUE(
+      noise_sweep_batch(circuits, ops, out, kGround, noise, ws)[0].ok());
 }
 
 TEST(AcAnalysis, SweepIsLogSpacedAndMonotone) {

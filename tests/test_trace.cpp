@@ -56,8 +56,9 @@ circuits::ProblemOptions serial_options() {
   return options;
 }
 
-/// Fixed-seed 2-iteration synthetic training run with inline collection
-/// (num_workers=1), traced end to end; returns the per-name record counts.
+/// Fixed-seed 2-iteration synthetic training run with one lane group
+/// (num_workers=1, so collection and the holdout probe run on the calling
+/// thread), traced end to end; returns the per-name record counts.
 std::map<std::string, long> traced_training_counts() {
   auto problem = std::make_shared<const circuits::SizingProblem>(
       circuits::make_synthetic_problem(3, 21));
@@ -68,6 +69,7 @@ std::map<std::string, long> traced_training_counts() {
   config.ppo.max_iterations = 2;
   config.ppo.steps_per_iteration = 200;
   config.ppo.num_workers = 1;
+  config.ppo.envs_per_worker = 4;
   config.holdout_target_count = 4;
   config.holdout_interval = 1;
   auto& rec = trace::recorder();
@@ -207,7 +209,9 @@ TEST(Trace, TrainingCountsAreDeterministic) {
   ASSERT_TRUE(first.count(trace::names::kRlIteration));
   EXPECT_EQ(first.at(trace::names::kRlIteration), 2);
   EXPECT_EQ(first.at(trace::names::kRlCollect), 2);
+  EXPECT_EQ(first.at(trace::names::kRlValuePass), 2);
   EXPECT_EQ(first.at(trace::names::kRlUpdate), 2);
+  EXPECT_EQ(first.at(trace::names::kRlHoldoutProbe), 2);
   EXPECT_GT(first.at(trace::names::kEnvTick), 0);
 }
 
