@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -53,14 +54,6 @@ Mlp::Mlp(std::vector<int> layer_sizes, Activation act, std::uint64_t seed,
 
 double Mlp::activate(double v) const {
   return act_ == Activation::Tanh ? std::tanh(v) : (v > 0.0 ? v : 0.0);
-}
-
-double Mlp::activate_grad(double pre) const {
-  if (act_ == Activation::Tanh) {
-    const double t = std::tanh(pre);
-    return 1.0 - t * t;
-  }
-  return pre > 0.0 ? 1.0 : 0.0;
 }
 
 std::vector<double> Mlp::forward(const std::vector<double>& x) const {
@@ -178,18 +171,52 @@ std::vector<double> Mlp::backward(const Trace& trace,
 }
 
 // ---- row-blocked batch kernels ----------------------------------------------
-// Every batch entry point runs on these. A forward pass loads each weight
-// once for kRowBlock rows and each input once for kOutBlock outputs, so it
-// carries kRowBlock * kOutBlock independent accumulator chains where
-// forward() carries one; each chain still adds in forward()'s order. The
-// gradient kernels keep kColBlock running sums in registers while the rows
-// stream past, adding the rows in order.
+// Every batch entry point runs on these. Each kernel carries many
+// independent accumulator chains where the per-row reference carries one,
+// and each chain still adds its terms in the reference's order:
+// - the forward loads each weight once for kRowBlock rows and each input
+//   once for kOutBlock outputs (kRowBlock * kOutBlock chains);
+// - the delta kernel loads each weight row once for kRowBlock rows and
+//   keeps kRowBlock running sums per column over the outputs, on column
+//   blocks of 4, then 2, then 1;
+// - the gradient kernel keeps one running sum per column of a gradient row
+//   while the rows stream past in order, on column blocks of kColBlock,
+//   then 2, then 1.
+// A short row block repeats its last row in the spare lanes and drops them
+// at the store, so every block runs the same code.
 
 namespace {
 
 constexpr int kRowBlock = 4;
 constexpr int kOutBlock = 2;
 constexpr int kColBlock = 8;
+
+/// Two adjacent columns in one vector register: GCC's and Clang's generic
+/// vector type, which compiles for any target (as two scalar lanes where
+/// there is no such register). Each lane does the scalar code's multiply
+/// and add. As plain loops, GCC vectorizes the delta and gradient kernels
+/// across the summed index instead, keeping each sum's order with lane
+/// shuffles, and the delta kernel took about 1.5 times as long.
+using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_pair(double* p, const Pair& v) { std::memcpy(p, &v, sizeof v); }
+
+/// Rows [r0, r0 + kRowBlock) of a row-major array with `stride` columns,
+/// the rows at or past `end` replaced by row end - 1.
+template <class T>
+void block_rows(T* base, std::size_t stride, int r0, int end,
+                T* (&rows)[kRowBlock]) {
+  for (int j = 0; j < kRowBlock; ++j) {
+    rows[j] = base + static_cast<std::size_t>(std::min(r0 + j, end - 1)) *
+                         stride;
+  }
+}
 
 /// acc[k][j] = b[k] + sum_i w[k * in + i] * xr[j][i], summed in i order:
 /// forward()'s pre-activation of output k for row j.
@@ -208,33 +235,63 @@ void dot_block(const double* w, const double* b, std::size_t in,
   }
 }
 
-/// gw[c] += g[r * g_stride] * x[r * x_stride + c] for c < W, rows in order:
-/// backward()'s weight-gradient update, one row at a time.
-template <int W>
+/// gw[c] += g[r * g_stride] * x[r * x_stride + c] for c < 2 * P, rows in
+/// order: backward()'s weight-gradient update, one row at a time.
+template <int P>
 void grad_block(double* gw, const double* g, std::size_t g_stride,
                 const double* x, std::size_t x_stride, int rows) {
-  double s[W];
-  for (int c = 0; c < W; ++c) s[c] = gw[c];
+  Pair s[P];
+  for (int p = 0; p < P; ++p) s[p] = load_pair(gw + 2 * p);
   for (int r = 0; r < rows; ++r) {
     const double gr = g[static_cast<std::size_t>(r) * g_stride];
     const double* xr = x + static_cast<std::size_t>(r) * x_stride;
-    for (int c = 0; c < W; ++c) s[c] += gr * xr[c];
+    for (int p = 0; p < P; ++p) s[p] += gr * load_pair(xr + 2 * p);
   }
-  for (int c = 0; c < W; ++c) gw[c] = s[c];
+  for (int p = 0; p < P; ++p) store_pair(gw + 2 * p, s[p]);
 }
 
-/// d[c] = sum_o g[o] * w[o * in + c] for c < W, from 0.0 in o order:
-/// backward()'s dLoss/dInput for one row.
-template <int W>
-void input_grad_block(double* d, const double* g, std::size_t out,
-                      const double* w, std::size_t in) {
-  double s[W] = {};
-  for (std::size_t o = 0; o < out; ++o) {
-    const double go = g[o];
-    const double* wo = w + o * in;
-    for (int c = 0; c < W; ++c) s[c] += go * wo[c];
+/// grad_block() for the one column gw[0].
+void grad_column(double* gw, const double* g, std::size_t g_stride,
+                 const double* x, std::size_t x_stride, int rows) {
+  double s = gw[0];
+  for (int r = 0; r < rows; ++r) {
+    s += g[static_cast<std::size_t>(r) * g_stride] *
+         x[static_cast<std::size_t>(r) * x_stride];
   }
-  for (int c = 0; c < W; ++c) d[c] = s[c];
+  gw[0] = s;
+}
+
+/// d[j][c0 + c] = sum_o g[j][o] * w[o * in + c0 + c] for j < n and
+/// c < 2 * P, from 0.0 in o order: backward()'s dLoss/dInput of row j.
+template <int P>
+void input_grad_block(const double* const (&g)[kRowBlock], std::size_t out,
+                      const double* w, std::size_t in, std::size_t c0,
+                      double* const (&d)[kRowBlock], int n) {
+  Pair s[kRowBlock][P] = {};
+  for (std::size_t o = 0; o < out; ++o) {
+    const double* wo = w + o * in + c0;
+    Pair wp[P];
+    for (int p = 0; p < P; ++p) wp[p] = load_pair(wo + 2 * p);
+    for (int j = 0; j < kRowBlock; ++j) {
+      const double gj = g[j][o];
+      for (int p = 0; p < P; ++p) s[j][p] += gj * wp[p];
+    }
+  }
+  for (int j = 0; j < n; ++j) {
+    for (int p = 0; p < P; ++p) store_pair(d[j] + c0 + 2 * p, s[j][p]);
+  }
+}
+
+/// input_grad_block() for the one column c0.
+void input_grad_column(const double* const (&g)[kRowBlock], std::size_t out,
+                       const double* w, std::size_t in, std::size_t c0,
+                       double* const (&d)[kRowBlock], int n) {
+  double s[kRowBlock] = {};
+  for (std::size_t o = 0; o < out; ++o) {
+    const double wo = w[o * in + c0];
+    for (int j = 0; j < kRowBlock; ++j) s[j] += g[j][o] * wo;
+  }
+  for (int j = 0; j < n; ++j) d[j][c0] = s[j];
 }
 
 }  // namespace
@@ -246,18 +303,15 @@ void Mlp::layer_forward(const Layer& layer, bool last, const double* x,
   const double* w = params_.data() + layer.w_off;
   const double* b = params_.data() + layer.b_off;
   for (int r0 = 0; r0 < rows; r0 += kRowBlock) {
-    // A short last block repeats its final row in the spare lanes and
-    // drops them at the store, so every block runs the same code.
     const int n = std::min(kRowBlock, rows - r0);
     const double* xr[kRowBlock];
-    for (int j = 0; j < kRowBlock; ++j) {
-      xr[j] = x + static_cast<std::size_t>(r0 + std::min(j, n - 1)) * in;
-    }
+    block_rows(x, in, r0, rows, xr);
+    // The pre-activations first, then the activation over the block: no
+    // libm call between the dot products.
     double* yb = y + static_cast<std::size_t>(r0) * out;
     const auto store = [&](std::size_t o, const double (&acc)[kRowBlock]) {
       for (int j = 0; j < n; ++j) {
-        yb[static_cast<std::size_t>(j) * out + o] =
-            last ? acc[j] : activate(acc[j]);
+        yb[static_cast<std::size_t>(j) * out + o] = acc[j];
       }
     };
     std::size_t o = 0;
@@ -271,6 +325,9 @@ void Mlp::layer_forward(const Layer& layer, bool last, const double* x,
       dot_block<1>(w + o * in, b + o, in, xr, acc);
       store(o, acc[0]);
     }
+    if (last) continue;
+    const std::size_t block = static_cast<std::size_t>(n) * out;
+    for (std::size_t k = 0; k < block; ++k) yb[k] = activate(yb[k]);
   }
 }
 
@@ -348,14 +405,16 @@ void Mlp::backward_rows(BatchTrace& trace, int begin, int end,
     const double* w = params_.data() + layer.w_off;
     const double* delta = trace.deltas[li].data();
     double* below = li == 0 ? d_input : trace.deltas[li - 1].data();
-    for (int r = begin; r < end; ++r) {
-      const double* g = delta + static_cast<std::size_t>(r) * out;
-      double* d = below + static_cast<std::size_t>(r) * in;
+    for (int r0 = begin; r0 < end; r0 += kRowBlock) {
+      const int n = std::min(kRowBlock, end - r0);
+      const double* g[kRowBlock];
+      double* d[kRowBlock];
+      block_rows(delta, out, r0, end, g);
+      block_rows(below, in, r0, end, d);
       std::size_t c = 0;
-      for (; c + kColBlock <= in; c += kColBlock) {
-        input_grad_block<kColBlock>(d + c, g, out, w + c, in);
-      }
-      for (; c < in; ++c) input_grad_block<1>(d + c, g, out, w + c, in);
+      for (; c + 4 <= in; c += 4) input_grad_block<2>(g, out, w, in, c, d, n);
+      for (; c + 2 <= in; c += 2) input_grad_block<1>(g, out, w, in, c, d, n);
+      if (c < in) input_grad_column(g, out, w, in, c, d, n);
     }
     if (li == 0) break;
     // Through the activation below, from its cached post-activations (for
@@ -401,11 +460,12 @@ void Mlp::accumulate_grads(const BatchTrace& trace, int begin, int end) {
       double* gw = grads_.data() + layer.w_off + o * in;
       std::size_t c = 0;
       for (; c + kColBlock <= in; c += kColBlock) {
-        grad_block<kColBlock>(gw + c, delta + o, out, x + c, in, rows);
+        grad_block<kColBlock / 2>(gw + c, delta + o, out, x + c, in, rows);
       }
-      for (; c < in; ++c) {
+      for (; c + 2 <= in; c += 2) {
         grad_block<1>(gw + c, delta + o, out, x + c, in, rows);
       }
+      if (c < in) grad_column(gw + c, delta + o, out, x + c, in, rows);
       double& gb = grads_[layer.b_off + o];
       for (int r = 0; r < rows; ++r) {
         gb += delta[static_cast<std::size_t>(r) * out + o];

@@ -144,7 +144,6 @@ class Mlp {
   };
 
   double activate(double v) const;
-  double activate_grad(double pre) const;
 
   /// y = act(W x + b) for `rows` row-major inputs; the one kernel behind
   /// forward_batch() and forward_trace_batch().

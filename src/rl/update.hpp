@@ -21,6 +21,7 @@
 // changes order, so the result is bitwise the same at every team size.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -66,6 +67,14 @@ struct UpdateBatch {
 /// The helpers live as long as the team, so a trainer that owns one team
 /// starts no thread per iteration, and its threads attach to a fixed set
 /// of malloc arenas.
+///
+/// Two waits spin before they block: a helper waiting for the next run,
+/// and the caller waiting for the last item of its run. Each spins with
+/// the x86 `pause` instruction for up to kSpinWindow, then sleeps in a
+/// C++20 atomic wait (a futex on Linux); on other targets they block at
+/// once. The update's runs follow each other within tens of microseconds,
+/// so its helpers stay awake through a minibatch instead of waiting on a
+/// futex wake-up per run.
 class ThreadTeam {
  public:
   /// Starts size - 1 helpers. Throws std::invalid_argument when size < 1
@@ -95,6 +104,7 @@ class ThreadTeam {
   }
 
   static constexpr int kMaxItems = 0xffff;
+  static constexpr std::chrono::microseconds kSpinWindow{200};
 
  private:
   using Call = void (*)(const void*, int, int) noexcept;

@@ -12,11 +12,13 @@ namespace autockt::spice {
 
 namespace {
 
-/// Trapezoidal companion state for one capacitive element.
+/// Trapezoidal companion of one capacitive element: i_new = geq * v_new -
+/// ihist, where ihist = geq * v + i from the voltage across (n1 - n2) and
+/// the current through at the previous accepted step.
 struct CapState {
   CapElement elem;
-  double v = 0.0;  // voltage across (n1 - n2) at the previous accepted step
-  double i = 0.0;  // current through at the previous accepted step
+  double geq = 0.0;    // 2C/h, fixed for the run
+  double ihist = 0.0;  // updated once per accepted step
 };
 
 double across(const std::vector<double>& node_v, const CapElement& e) {
@@ -39,22 +41,21 @@ util::Expected<TranResult> transient_impl(const Circuit& circuit,
   for (const CapElement& e : circuit.collect_caps()) {
     CapState s;
     s.elem = e;
-    s.v = across(initial.node_v, e);
-    s.i = 0.0;  // steady state: no capacitor current
+    s.geq = 2.0 * e.capacitance / h;
+    // At the operating point no current flows: i = 0.
+    s.ihist = s.geq * across(initial.node_v, e) + 0.0;
     caps.push_back(s);
   }
 
-  // Trapezoidal companions: i_new = geq*v_new - (geq*v_old + i_old). The
-  // companion conductance slots are part of the workspace's frozen pattern
-  // (declared weak), so the sparse kernel re-uses its symbolic
-  // factorization across every step and iteration.
+  // Every Newton iteration stamps the companions as they stand. Their
+  // conductance slots are part of the workspace's frozen pattern (declared
+  // weak), so the sparse kernel re-uses its symbolic factorization across
+  // every step and iteration.
   auto companions = [&](RealStamp& ctx) {
     for (const CapState& s : caps) {
-      const double geq = 2.0 * s.elem.capacitance / h;
-      const double ihist = geq * s.v + s.i;
-      ctx.conductance(s.elem.n1, s.elem.n2, geq);
-      ctx.inject(s.elem.n1, ihist);
-      ctx.inject(s.elem.n2, -ihist);
+      ctx.conductance(s.elem.n1, s.elem.n2, s.geq);
+      ctx.inject(s.elem.n1, s.ihist);
+      ctx.inject(s.elem.n2, -s.ihist);
     }
   };
 
@@ -126,11 +127,9 @@ util::Expected<TranResult> transient_impl(const Circuit& circuit,
     // Accept the step: roll companion state forward.
     for (NodeId n = 1; n < n_nodes; ++n) node_v[n] = x[n - 1];
     for (CapState& s : caps) {
-      const double geq = 2.0 * s.elem.capacitance / h;
       const double v_new = across(node_v, s.elem);
-      const double i_new = geq * v_new - (geq * s.v + s.i);
-      s.v = v_new;
-      s.i = i_new;
+      const double i_new = s.geq * v_new - s.ihist;
+      s.ihist = s.geq * v_new + i_new;
     }
     record(t);
   }

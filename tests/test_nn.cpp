@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/categorical.hpp"
 #include "nn/mlp.hpp"
@@ -150,23 +154,25 @@ TEST(Mlp, GradAccumulatesAcrossBackwardCalls) {
 }
 
 // ---------------------------------------------------------- batch kernels
-// forward_trace_batch + backward_batch against the per-row reference loop
-// (forward_trace + backward, one row at a time): outputs, every weight and
-// bias gradient and dLoss/dInput must be bitwise-equal, for row counts on
-// both sides of the kernel's row blocks and the update's 64-row chunks, and
-// gradients must accumulate onto existing non-zero values exactly as the
-// per-row loop does.
-class MlpBatchKernel
-    : public ::testing::TestWithParam<std::tuple<int, Activation>> {};
+namespace {
 
-TEST_P(MlpBatchKernel, MatchesPerRowReferenceBitwise) {
-  const auto& [rows, act] = GetParam();
-  const std::vector<int> sizes{18, 50, 50, 50, 21};
-  const std::size_t in = 18, out = 21;
-  Mlp batched(sizes, act, 41);
-  Mlp serial(sizes, act, 41);
-  Mlp no_d_input(sizes, act, 41);
-  Rng rng(static_cast<std::uint64_t>(rows));
+/// forward_trace_batch + backward_batch over `rows` rows of a net of
+/// `sizes` (parameters from `seed`, data from `data_seed`) against the
+/// per-row reference loop (forward_trace + backward, one row at a time):
+/// outputs, every weight and bias gradient and dLoss/dInput must be
+/// bitwise-equal, with and without the dLoss/dInput product, and gradients
+/// must accumulate onto existing non-zero values exactly as the per-row
+/// loop does.
+void expect_batch_matches_per_row(const std::vector<int>& sizes,
+                                  Activation act, int rows,
+                                  std::uint64_t seed,
+                                  std::uint64_t data_seed) {
+  const std::size_t in = static_cast<std::size_t>(sizes.front());
+  const std::size_t out = static_cast<std::size_t>(sizes.back());
+  Mlp batched(sizes, act, seed);
+  Mlp serial(sizes, act, seed);
+  Mlp no_d_input(sizes, act, seed);
+  Rng rng(data_seed);
   const auto existing =
       random_vec(static_cast<int>(batched.param_count()), rng, 0.1);
   batched.grads() = existing;
@@ -204,6 +210,19 @@ TEST_P(MlpBatchKernel, MatchesPerRowReferenceBitwise) {
     ASSERT_EQ(batched.grads()[p], serial.grads()[p]) << "param " << p;
     ASSERT_EQ(no_d_input.grads()[p], serial.grads()[p]) << "param " << p;
   }
+}
+
+}  // namespace
+
+// For row counts on both sides of the kernel's row blocks and the update's
+// 64-row chunks.
+class MlpBatchKernel
+    : public ::testing::TestWithParam<std::tuple<int, Activation>> {};
+
+TEST_P(MlpBatchKernel, MatchesPerRowReferenceBitwise) {
+  const auto& [rows, act] = GetParam();
+  expect_batch_matches_per_row({18, 50, 50, 50, 21}, act, rows, 41,
+                               static_cast<std::uint64_t>(rows));
 }
 
 // The range kernels a thread team runs: forward_rows and backward_rows
@@ -282,6 +301,113 @@ INSTANTIATE_TEST_SUITE_P(
     Rows, MlpBatchKernel,
     ::testing::Combine(::testing::Values(1, 3, 4, 5, 63, 64, 65, 256),
                        ::testing::Values(Activation::Tanh, Activation::Relu)));
+
+// Every tail of the column blocks: the delta kernel runs a layer's input
+// columns in blocks of 4, then 2, then 1, and the gradient kernel in blocks
+// of 8, then 2, then 1. Input widths 1-9, 15, 50 and 51 reach every tail
+// of both through layer 0's dLoss/dInput and gradient rows, and the hidden
+// widths 13 and 11 add two more. Eleven rows end on a short row block.
+class MlpKernelTails
+    : public ::testing::TestWithParam<std::tuple<int, Activation>> {};
+
+TEST_P(MlpKernelTails, MatchesPerRowReferenceBitwise) {
+  const auto& [width, act] = GetParam();
+  expect_batch_matches_per_row({width, 13, 11, 5}, act, 11, 47,
+                               static_cast<std::uint64_t>(width));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InputWidths, MlpKernelTails,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 50,
+                                         51),
+                       ::testing::Values(Activation::Tanh, Activation::Relu)));
+
+// The two-stage policy net, 15 -> 3 x 50 -> 21: a full 64-row update chunk
+// and the short chunks 37 and 2, for both activations.
+TEST(MlpBatchKernelShapes, TwoStagePolicyMatchesPerRowReferenceBitwise) {
+  for (const Activation act : {Activation::Tanh, Activation::Relu}) {
+    for (const int rows : {64, 37, 2}) {
+      SCOPED_TRACE(std::to_string(rows) + " rows");
+      expect_batch_matches_per_row({15, 50, 50, 50, 21}, act, rows, 47,
+                                   static_cast<std::uint64_t>(rows));
+    }
+  }
+}
+
+// forward_rows and backward_rows over one row range that starts and ends
+// off the kernels' 4-row blocks, on the two-stage policy net: the range's
+// outputs and dLoss/dInput equal the per-row reference bitwise, and no row
+// outside the range is written (a short block repeats its last row in the
+// spare lanes and must drop them).
+TEST(MlpBatchKernelShapes, RowRangesOffTheRowBlocksMatchPerRowReference) {
+  const std::vector<int> sizes{15, 50, 50, 50, 21};
+  const std::size_t in = 15, out = 21;
+  constexpr int kRows = 64;
+  constexpr double kUnwritten = 7.0;
+  for (const Activation act : {Activation::Tanh, Activation::Relu}) {
+    Mlp net(sizes, act, 53);
+    Rng rng(59);
+    const auto x = random_vec(kRows * static_cast<int>(in), rng);
+    const auto dy = random_vec(kRows * static_cast<int>(out), rng);
+    for (const auto& [begin, end] : std::vector<std::pair<int, int>>{
+             {1, 6}, {3, 10}, {5, 64}, {62, 63}}) {
+      SCOPED_TRACE("rows [" + std::to_string(begin) + ", " +
+                   std::to_string(end) + ")");
+      auto trace = net.batch_trace(kRows);
+      trace.rows = kRows;
+      std::copy(x.begin(), x.end(), trace.input());
+      std::copy(dy.begin(), dy.end(), trace.d_output());
+      for (std::size_t l = 1; l < trace.acts.size(); ++l) {
+        std::fill(trace.acts[l].begin(), trace.acts[l].end(), kUnwritten);
+      }
+      for (std::size_t l = 0; l + 1 < trace.deltas.size(); ++l) {
+        std::fill(trace.deltas[l].begin(), trace.deltas[l].end(), kUnwritten);
+      }
+      std::vector<double> d_input(static_cast<std::size_t>(kRows) * in,
+                                  kUnwritten);
+      net.forward_rows(trace, begin, end);
+      net.backward_rows(trace, begin, end, d_input.data());
+
+      for (int r = 0; r < kRows; ++r) {
+        const std::size_t row = static_cast<std::size_t>(r);
+        if (r < begin || r >= end) {
+          for (std::size_t l = 1; l < trace.acts.size(); ++l) {
+            const std::size_t w = trace.acts[l].size() / kRows;
+            for (std::size_t k = row * w; k < (row + 1) * w; ++k) {
+              ASSERT_EQ(trace.acts[l][k], kUnwritten) << "acts " << l;
+            }
+          }
+          for (std::size_t l = 0; l + 1 < trace.deltas.size(); ++l) {
+            const std::size_t w = trace.deltas[l].size() / kRows;
+            for (std::size_t k = row * w; k < (row + 1) * w; ++k) {
+              ASSERT_EQ(trace.deltas[l][k], kUnwritten) << "deltas " << l;
+            }
+          }
+          for (std::size_t i = 0; i < in; ++i) {
+            ASSERT_EQ(d_input[row * in + i], kUnwritten) << "row " << r;
+          }
+          continue;
+        }
+        const std::vector<double> xr(
+            x.begin() + static_cast<long>(row * in),
+            x.begin() + static_cast<long>((row + 1) * in));
+        const std::vector<double> dyr(
+            dy.begin() + static_cast<long>(row * out),
+            dy.begin() + static_cast<long>((row + 1) * out));
+        const Mlp::Trace reference = net.forward_trace(xr);
+        for (std::size_t o = 0; o < out; ++o) {
+          ASSERT_EQ(trace.output()[row * out + o], reference.output[o])
+              << "row " << r << " output " << o;
+        }
+        const auto d_in = net.backward(reference, dyr);
+        for (std::size_t i = 0; i < in; ++i) {
+          ASSERT_EQ(d_input[row * in + i], d_in[i])
+              << "row " << r << " input " << i;
+        }
+      }
+    }
+  }
+}
 
 TEST(MlpBatchTrace, RejectsTraceThatDoesNotFit) {
   Mlp mlp({4, 8, 2}, Activation::Tanh, 1);
