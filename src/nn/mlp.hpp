@@ -34,9 +34,9 @@ class Mlp {
 
   /// Batched thread-safe inference: `x` holds `rows` input vectors stacked
   /// row-major (rows * input_size values); returns rows * output_size,
-  /// row-major. Runs the row-blocked layer kernel (several rows per pass
-  /// on independent accumulators, each adding in forward()'s order), so
-  /// row i equals forward(row i) bitwise.
+  /// row-major. Runs the row-blocked layer kernel (four rows and several
+  /// outputs per pass on independent accumulators, each adding in
+  /// forward()'s order), so row i equals forward(row i) bitwise.
   std::vector<double> forward_batch(const std::vector<double>& x,
                                     int rows) const;
 
@@ -156,6 +156,21 @@ class Mlp {
   std::vector<double> params_;
   std::vector<double> grads_;
 };
+
+namespace detail {
+
+/// The lane width of Mlp's batch kernels, chosen once per process: 4 on x86
+/// CPUs that run AVX2 code (glibc's CPU_FEATURE_ACTIVE(AVX2); elsewhere the
+/// compiler's CPU check), else 2. Both widths give the same bits.
+int native_kernel_lanes();
+/// The width the kernels run at: native_kernel_lanes() unless
+/// set_kernel_lanes() changed it.
+int kernel_lanes();
+/// For tests that run the kernels at both widths in one process: accepts 2
+/// and native_kernel_lanes(), and throws std::invalid_argument otherwise.
+void set_kernel_lanes(int lanes);
+
+}  // namespace detail
 
 /// Adam optimizer over a flat parameter vector.
 class Adam {

@@ -90,8 +90,6 @@ const std::vector<NameInfo>& registry() {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-
 #if AUTOCKT_TRACE_ENABLED
 
 /// One producer thread's buffer. The mutex is effectively uncontended
@@ -164,11 +162,11 @@ TraceRecorder& TraceRecorder::instance() {
 }
 
 void TraceRecorder::set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
+  detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
 bool TraceRecorder::enabled() const {
-  return g_enabled.load(std::memory_order_relaxed);
+  return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
 #if AUTOCKT_TRACE_ENABLED
@@ -239,8 +237,7 @@ bool TraceRecorder::write_jsonl_file(const std::string& path) const {
 
 #if AUTOCKT_TRACE_ENABLED
 
-TraceSpan::TraceSpan(const char* name) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
+void TraceSpan::open(const char* name) {
   ThreadBuffer& buffer = local_buffer();
   std::lock_guard<std::mutex> lock(buffer.mutex);
   TraceRecord rec;
@@ -261,8 +258,7 @@ TraceSpan::TraceSpan(const char* name) {
   buffer_ = &buffer;
 }
 
-TraceSpan::~TraceSpan() {
-  if (buffer_ == nullptr) return;
+void TraceSpan::close() {
   ThreadBuffer& buffer = *static_cast<ThreadBuffer*>(buffer_);
   std::lock_guard<std::mutex> lock(buffer.mutex);
   // A reset() between open and close dropped our record; verify before
@@ -277,8 +273,7 @@ TraceSpan::~TraceSpan() {
   }
 }
 
-void counter(const char* name, std::int64_t value) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
+void detail::record_counter(const char* name, std::int64_t value) {
   ThreadBuffer& buffer = local_buffer();
   std::lock_guard<std::mutex> lock(buffer.mutex);
   TraceRecord rec;

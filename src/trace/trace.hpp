@@ -12,7 +12,8 @@
 //    uncontended mutex each), so tracing never serializes the rollout
 //    workers against each other.
 //  * Off by default: recording starts only after set_enabled(true); a
-//    disabled call site costs one relaxed atomic load.
+//    disabled call site costs one relaxed atomic load (inline, with the
+//    recording itself out of line).
 //  * Compile-out: configure with -DAUTOCKT_TRACE=OFF and TraceSpan/counter
 //    become empty inlines — zero overhead, same API, every caller still
 //    compiles.
@@ -21,6 +22,7 @@
 // the registry (and the OBSERVABILITY.md glossary cross-check test) stays
 // the single source of truth.
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -54,6 +56,11 @@ struct TraceRecord {
 
 /// Whether the span layer was compiled in (-DAUTOCKT_TRACE=ON, default).
 constexpr bool compiled_in() { return AUTOCKT_TRACE_ENABLED != 0; }
+
+namespace detail {
+/// TraceRecorder::set_enabled()'s switch, read inline at every call site.
+inline std::atomic<bool> g_enabled{false};
+}  // namespace detail
 
 /// Process-wide sink for trace records. All methods are thread-safe; reset
 /// and snapshot may race with producers (they see a consistent prefix of
@@ -96,20 +103,35 @@ inline TraceRecorder& recorder() { return TraceRecorder::instance(); }
 /// is patched in place when the scope exits.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name);
-  ~TraceSpan();
+  explicit TraceSpan(const char* name) {
+    if (detail::g_enabled.load(std::memory_order_relaxed)) open(name);
+  }
+  ~TraceSpan() {
+    if (buffer_ != nullptr) close();
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
+  void open(const char* name);
+  void close();
+
   void* buffer_ = nullptr;  // ThreadBuffer*; null when recording was off
   std::size_t index_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t t0_ns_ = 0;
 };
 
+namespace detail {
+void record_counter(const char* name, std::int64_t value);
+}  // namespace detail
+
 /// Append a counter event (delta or gauge sample) under the current span.
-void counter(const char* name, std::int64_t value = 1);
+inline void counter(const char* name, std::int64_t value = 1) {
+  if (detail::g_enabled.load(std::memory_order_relaxed)) {
+    detail::record_counter(name, value);
+  }
+}
 
 #else  // AUTOCKT_TRACE_ENABLED == 0: same API, empty inlines.
 

@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "nn/categorical.hpp"
 #include "nn/mlp.hpp"
 #include "util/rng.hpp"
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GLIBC__) && \
+    __has_include(<sys/platform/x86.h>)
+#include <sys/platform/x86.h>
+#endif
 
 using namespace autockt::nn;
 using autockt::util::Rng;
@@ -405,6 +412,215 @@ TEST(MlpBatchKernelShapes, RowRangesOffTheRowBlocksMatchPerRowReference) {
               << "row " << r << " input " << i;
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------- both kernel widths
+namespace {
+
+/// Runs the batch kernels at `lanes` until destroyed, then at the native
+/// width again.
+class KernelLanes {
+ public:
+  explicit KernelLanes(int lanes) { detail::set_kernel_lanes(lanes); }
+  ~KernelLanes() { detail::set_kernel_lanes(detail::native_kernel_lanes()); }
+  KernelLanes(const KernelLanes&) = delete;
+  KernelLanes& operator=(const KernelLanes&) = delete;
+};
+
+::testing::AssertionResult same_bits(const std::vector<double>& a,
+                                     const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " and " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A batch pass's outputs, dLoss/dInput and gradients, row-major.
+struct PassResult {
+  std::vector<double> output, d_input, grads;
+};
+
+/// The per-row reference: forward_trace + backward, one row at a time, onto
+/// the gradients `existing`.
+PassResult per_row_pass(const std::vector<int>& sizes, Activation act,
+                        const std::vector<double>& existing,
+                        const std::vector<double>& x,
+                        const std::vector<double>& dy, int rows) {
+  const std::size_t in = static_cast<std::size_t>(sizes.front());
+  const std::size_t out = static_cast<std::size_t>(sizes.back());
+  Mlp net(sizes, act, 61);
+  net.grads() = existing;
+  PassResult result;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    const std::vector<double> xr(x.begin() + static_cast<long>(r * in),
+                                 x.begin() + static_cast<long>((r + 1) * in));
+    const std::vector<double> dyr(
+        dy.begin() + static_cast<long>(r * out),
+        dy.begin() + static_cast<long>((r + 1) * out));
+    const Mlp::Trace trace = net.forward_trace(xr);
+    result.output.insert(result.output.end(), trace.output.begin(),
+                         trace.output.end());
+    const auto d_in = net.backward(trace, dyr);
+    result.d_input.insert(result.d_input.end(), d_in.begin(), d_in.end());
+  }
+  result.grads = net.grads();
+  return result;
+}
+
+/// The same pass on the range kernels at the current width, split as a
+/// thread team splits it: forward_rows and backward_rows over the row
+/// ranges between `cuts`, last range first, then accumulate_grads over
+/// gradient-row ranges of 7 rows, which cut layers mid-way.
+PassResult ranged_pass(const std::vector<int>& sizes, Activation act,
+                       const std::vector<double>& existing,
+                       const std::vector<double>& x,
+                       const std::vector<double>& dy, int rows,
+                       const std::vector<int>& cuts) {
+  Mlp net(sizes, act, 61);
+  net.grads() = existing;
+  auto trace = net.batch_trace(rows);
+  trace.rows = rows;
+  std::copy(x.begin(), x.end(), trace.input());
+  std::copy(dy.begin(), dy.end(), trace.d_output());
+  PassResult result;
+  result.d_input.assign(static_cast<std::size_t>(rows) *
+                            static_cast<std::size_t>(sizes.front()),
+                        0.0);
+  for (std::size_t k = cuts.size() - 1; k-- > 0;) {
+    net.forward_rows(trace, cuts[k], cuts[k + 1]);
+    net.backward_rows(trace, cuts[k], cuts[k + 1], result.d_input.data());
+  }
+  for (int u = 0; u < net.grad_rows(); u += 7) {
+    net.accumulate_grads(trace, u, std::min(u + 7, net.grad_rows()));
+  }
+  result.output = trace.acts.back();
+  result.grads = net.grads();
+  return result;
+}
+
+}  // namespace
+
+// Every kernel at two and at four lanes (where the CPU has AVX2) in one
+// process, bitwise against the per-row reference and against each other.
+// A net {w, w, 5, w} gives the forward's output blocks (8, 4, 2, 1) and the
+// delta and gradient kernels' column blocks (16, 8, 4, 2, 1) every tail
+// for the widths 1-17, 31-33, 50 and 51; rows 1-9 end on every short row
+// block, and the middle row range starts and ends off the 4-row blocks.
+class MlpKernelWidths
+    : public ::testing::TestWithParam<std::tuple<int, Activation>> {};
+
+TEST_P(MlpKernelWidths, BothWidthsMatchPerRowReferenceBitwise) {
+  const auto& [width, act] = GetParam();
+  const std::vector<int> sizes{width, width, 5, width};
+  std::vector<int> widths{2};
+  if (detail::native_kernel_lanes() == 4) widths.push_back(4);
+  for (int rows = 1; rows <= 9; ++rows) {
+    SCOPED_TRACE(std::to_string(rows) + " rows");
+    Rng rng(static_cast<std::uint64_t>(width * 100 + rows));
+    const std::size_t n_params = Mlp(sizes, act, 61).param_count();
+    const auto existing = random_vec(static_cast<int>(n_params), rng, 0.1);
+    const auto x = random_vec(rows * width, rng);
+    const auto dy = random_vec(rows * width, rng);
+    const PassResult reference =
+        per_row_pass(sizes, act, existing, x, dy, rows);
+    const std::vector<std::vector<int>> splits{
+        {0, rows}, {0, std::min(1, rows), std::max(rows - 1, 1), rows}};
+    std::vector<PassResult> by_width;
+    by_width.reserve(widths.size() * splits.size());
+    for (const int lanes : widths) {
+      SCOPED_TRACE(std::to_string(lanes) + " lanes");
+      const KernelLanes use(lanes);
+      for (const auto& cuts : splits) {
+        const PassResult got =
+            ranged_pass(sizes, act, existing, x, dy, rows, cuts);
+        ASSERT_TRUE(same_bits(got.output, reference.output)) << "outputs";
+        ASSERT_TRUE(same_bits(got.d_input, reference.d_input)) << "d_input";
+        ASSERT_TRUE(same_bits(got.grads, reference.grads)) << "gradients";
+        by_width.push_back(got);
+      }
+      Mlp net(sizes, act, 61);
+      const auto batch = net.forward_batch(x, rows);
+      ASSERT_TRUE(same_bits(batch, reference.output)) << "forward_batch";
+    }
+    for (std::size_t k = 2; k < by_width.size(); ++k) {
+      ASSERT_TRUE(same_bits(by_width[k].output, by_width[k % 2].output));
+      ASSERT_TRUE(same_bits(by_width[k].d_input, by_width[k % 2].d_input));
+      ASSERT_TRUE(same_bits(by_width[k].grads, by_width[k % 2].grads));
+    }
+  }
+  if (widths.size() == 1) {
+    GTEST_SKIP() << "no AVX2 here: the four-lane kernels were not run";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, MlpKernelWidths,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                         12, 13, 14, 15, 16, 17, 31, 32, 33,
+                                         50, 51),
+                       ::testing::Values(Activation::Tanh, Activation::Relu)));
+
+// The native width is glibc's answer where glibc has one, so a rerun with
+// glibc.cpu.hwcaps=-AVX2 in GLIBC_TUNABLES runs the two-lane kernels.
+TEST(MlpKernelLanes, NativeWidthIsGlibcsAvx2Answer) {
+#ifdef CPU_FEATURE_ACTIVE
+  EXPECT_EQ(detail::native_kernel_lanes(), CPU_FEATURE_ACTIVE(AVX2) ? 4 : 2);
+  EXPECT_EQ(detail::kernel_lanes(), detail::native_kernel_lanes());
+#else
+  GTEST_SKIP() << "no glibc CPU_FEATURE_ACTIVE on this platform";
+#endif
+}
+
+TEST(MlpKernelLanes, RejectsWidthsThisCpuCannotRun) {
+  EXPECT_THROW(detail::set_kernel_lanes(0), std::invalid_argument);
+  EXPECT_THROW(detail::set_kernel_lanes(3), std::invalid_argument);
+  EXPECT_THROW(detail::set_kernel_lanes(8), std::invalid_argument);
+  if (detail::native_kernel_lanes() == 2) {
+    EXPECT_THROW(detail::set_kernel_lanes(4), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(detail::set_kernel_lanes(2));
+  EXPECT_EQ(detail::kernel_lanes(), 2);
+  detail::set_kernel_lanes(detail::native_kernel_lanes());
+  EXPECT_EQ(detail::kernel_lanes(), detail::native_kernel_lanes());
+}
+
+// forward_batch is const and keeps its transposed rows per thread: four
+// threads on one net, each with its own batch, get forward()'s bits.
+TEST(MlpKernelLanes, ForwardBatchFromSeveralThreadsMatchesForward) {
+  const Mlp net({15, 50, 50, 50, 21}, Activation::Tanh, 67);
+  std::vector<std::vector<double>> inputs(4), outputs(4);
+  Rng rng(71);
+  for (std::size_t t = 0; t < 4; ++t) {
+    inputs[t] = random_vec(static_cast<int>(t + 5) * 15, rng);
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(4);
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        outputs[t] = net.forward_batch(inputs[t], static_cast<int>(t) + 5);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t r = 0; r < t + 5; ++r) {
+      const std::vector<double> xr(
+          inputs[t].begin() + static_cast<long>(r * 15),
+          inputs[t].begin() + static_cast<long>((r + 1) * 15));
+      const std::vector<double> yr(
+          outputs[t].begin() + static_cast<long>(r * 21),
+          outputs[t].begin() + static_cast<long>((r + 1) * 21));
+      ASSERT_TRUE(same_bits(yr, net.forward(xr))) << "thread " << t;
     }
   }
 }
