@@ -6,10 +6,10 @@
 //   warm-start hints -> lockstep DC -> compaction of the converged lanes
 //   -> batched AC / noise sweeps -> per-lane measurement
 //
-// A single design is a one-lane batch; the spice batch entry points run
-// their scalar kernels for one lane, so it costs what a scalar pipeline
-// would. Work that depends on a lane's own measurements (the TIA's settling
-// transient, a deck's .tran) is a per-lane tail the caller runs afterwards.
+// A single design is a one-lane batch, and the kernel runs one lane on a
+// copy of its loops built for that lane count. Work that depends on a
+// lane's own measurements (the TIA's settling transient, a deck's .tran) is
+// a per-lane tail the caller runs afterwards, one-lane pass by pass.
 //
 // Hint contract: a valid hint is read as the DC Newton stage-0 guess; a
 // converged lane overwrites it with its operating point, a failed one

@@ -31,8 +31,6 @@ eval::EvalStats kernel_leaf_stats() {
   s.warm_start_attempts = k.warm_start_attempts;
   s.warm_start_hits = k.warm_start_hits;
   s.batch_refactorizations = k.batch_refactorizations;
-  s.batch_lanes = k.batch_lanes;
-  s.batch_lane_fallbacks = k.batch_lane_fallbacks;
   return s;
 }
 

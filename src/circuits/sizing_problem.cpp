@@ -96,8 +96,6 @@ eval::EvalStats SizingProblem::eval_stats() const {
   stats.warm_start_attempts += kernel.warm_start_attempts;
   stats.warm_start_hits += kernel.warm_start_hits;
   stats.batch_refactorizations += kernel.batch_refactorizations;
-  stats.batch_lanes += kernel.batch_lanes;
-  stats.batch_lane_fallbacks += kernel.batch_lane_fallbacks;
   return stats;
 }
 

@@ -195,8 +195,6 @@ void encode_stats(std::string* b, const EvalStats& s) {
   put_i64(b, s.warm_start_attempts);
   put_i64(b, s.warm_start_hits);
   put_i64(b, s.batch_refactorizations);
-  put_i64(b, s.batch_lanes);
-  put_i64(b, s.batch_lane_fallbacks);
   put_i64(b, s.disk_hits);
   put_i64(b, s.disk_appends);
   put_i64(b, s.worker_dispatches);
@@ -220,8 +218,6 @@ EvalStats decode_stats(Reader* r) {
   s.warm_start_attempts = r->i64();
   s.warm_start_hits = r->i64();
   s.batch_refactorizations = r->i64();
-  s.batch_lanes = r->i64();
-  s.batch_lane_fallbacks = r->i64();
   s.disk_hits = r->i64();
   s.disk_appends = r->i64();
   s.worker_dispatches = r->i64();

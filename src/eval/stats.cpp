@@ -22,8 +22,6 @@ EvalStats& EvalStats::operator+=(const EvalStats& other) {
   warm_start_attempts += other.warm_start_attempts;
   warm_start_hits += other.warm_start_hits;
   batch_refactorizations += other.batch_refactorizations;
-  batch_lanes += other.batch_lanes;
-  batch_lane_fallbacks += other.batch_lane_fallbacks;
   disk_hits += other.disk_hits;
   disk_appends += other.disk_appends;
   worker_dispatches += other.worker_dispatches;
@@ -58,9 +56,6 @@ EvalStats EvalStats::since(const EvalStats& before) const {
   out.warm_start_hits = warm_start_hits - before.warm_start_hits;
   out.batch_refactorizations =
       batch_refactorizations - before.batch_refactorizations;
-  out.batch_lanes = batch_lanes - before.batch_lanes;
-  out.batch_lane_fallbacks =
-      batch_lane_fallbacks - before.batch_lane_fallbacks;
   out.disk_hits = disk_hits - before.disk_hits;
   out.disk_appends = disk_appends - before.disk_appends;
   out.worker_dispatches = worker_dispatches - before.worker_dispatches;
@@ -106,8 +101,6 @@ std::vector<std::pair<const char*, double>> EvalStats::fields() const {
       {"warm_start_attempts", static_cast<double>(warm_start_attempts)},
       {"warm_start_hits", static_cast<double>(warm_start_hits)},
       {"batch_refactorizations", static_cast<double>(batch_refactorizations)},
-      {"batch_lanes", static_cast<double>(batch_lanes)},
-      {"batch_lane_fallbacks", static_cast<double>(batch_lane_fallbacks)},
       {"disk_hits", static_cast<double>(disk_hits)},
       {"disk_appends", static_cast<double>(disk_appends)},
       {"worker_dispatches", static_cast<double>(worker_dispatches)},

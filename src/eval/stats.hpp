@@ -36,21 +36,18 @@ struct EvalStats {
   // Filled by SizingProblem::eval_stats() from the spice workspace's
   // process-wide counters (the eval layer itself never touches the
   // simulator): Newton work, the symbolic/numeric factorization split of
-  // the sparse kernel, and warm-start effectiveness.
+  // the sparse kernel, and warm-start effectiveness. The kernel runs K
+  // designs ("lanes") per pass, one-lane passes included: each pass adds 1
+  // to batch_refactorizations and K to numeric_factorizations, so their
+  // ratio is the mean lane count; dense_fallbacks counts lanes that failed
+  // the pivot check and were redone by the dense LU.
   long newton_iterations = 0;
   long symbolic_factorizations = 0;
   long numeric_factorizations = 0;
-  long dense_fallbacks = 0;       // scale-aware pivot check bailouts
+  long dense_fallbacks = 0;
   long warm_start_attempts = 0;
   long warm_start_hits = 0;
-  // Batched numeric kernel (SparseLuNumericBatch): each batched
-  // refactorization factors `batch_lanes / batch_refactorizations` value
-  // lanes over one shared elimination program; lane fallbacks count lanes
-  // that failed the per-lane pivot check and retired to the dense LU
-  // (every lane fallback also counts in dense_fallbacks).
   long batch_refactorizations = 0;
-  long batch_lanes = 0;
-  long batch_lane_fallbacks = 0;
 
   // ---- persistent / distributed tier -------------------------------------
   // Filled by CachedBackend (disk_*) and ProcessPoolBackend (worker_*).

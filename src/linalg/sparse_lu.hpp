@@ -17,19 +17,18 @@
 //    lists (O(nnz + fill) memory), never a dense n*n occupancy map, so
 //    symbolic analysis of large generated decks cannot allocate
 //    quadratically.
-//  * SparseLuNumeric<T> — replays the compiled program over a value array:
-//    zero heap allocation, sparse flop count, shared between real (Newton,
-//    transient) and complex (AC, noise) assemblies of the same pattern.
-//    refactor() applies a scale-aware pivot check (relative to the largest
-//    entry of the pivot's original column, never an absolute epsilon);
-//    callers fall back to dense partial-pivot LU when it fails, which keeps
-//    results deterministic: the fallback depends only on the matrix values.
-//  * SparseLuNumericBatch<T> — the same compiled program replayed over K
-//    interleaved value arrays ("lanes") per pass, with lane-contiguous
-//    struct-of-arrays storage so the inner update loops vectorize and the K
+//  * SparseLuNumericBatch<T> — the one numeric kernel: replays the compiled
+//    program over K value arrays ("lanes") per pass, zero heap allocation,
+//    sparse flop count, for real (Newton, transient) and complex (AC, noise)
+//    assemblies of the same pattern. Storage is lane-contiguous
+//    struct-of-arrays, so the inner update loops vectorize and the K
 //    dependent elimination chains interleave into independent instruction
-//    streams. Per-lane results are bitwise identical to running
-//    SparseLuNumeric<T> on that lane alone (the serial-exact contract).
+//    streams; one lane is the common case (every transient, every single
+//    design) and runs a copy of the loops built for a lane count of 1.
+//    refactor() applies a scale-aware pivot check per lane (relative to the
+//    largest entry of the pivot's original column, never an absolute
+//    epsilon); callers redo a failed lane with dense partial-pivot LU, which
+//    keeps results deterministic: the fallback depends only on the values.
 
 #include <algorithm>
 #include <cmath>
@@ -68,9 +67,11 @@ class SparseLuSymbolic {
 
  private:
   template <typename T>
-  friend class SparseLuNumeric;
-  template <typename T>
   friend class SparseLuNumericBatch;
+  // The one-lane scalar kernel the tests keep as the batch kernel's bitwise
+  // reference replays the same program.
+  template <typename T>
+  friend class ScalarLuReference;
 
   /// Index of `col` in the sorted list, or -1.
   static int find_col(const std::vector<int>& cols, int col) {
@@ -373,125 +374,7 @@ class SparseLuSymbolic {
   std::vector<int> upd_ptr_, upd_slot_;
 };
 
-/// Numeric side: value array + scratch, reusable with zero allocation after
-/// construction. One instance per concurrent solver (not thread-safe).
-template <typename T>
-class SparseLuNumeric {
- public:
-  SparseLuNumeric() = default;
-
-  explicit SparseLuNumeric(const SparseLuSymbolic& symbolic)
-      : sym_(&symbolic),
-        lu_vals_(symbolic.lu_nnz(), T{}),
-        col_scale_(symbolic.size(), 0.0),
-        y_(symbolic.size(), T{}) {}
-
-  /// Scale-aware pivot acceptance: |pivot| must exceed this fraction of the
-  /// largest |entry| stamped into its (permuted) column.
-  static constexpr double kPivotRelTol = 1e-13;
-
-  /// Refactorize from `a_vals` (aligned with the A pattern the symbolic
-  /// analysis was built from). Returns false — leaving no usable factors —
-  /// when a pivot fails the scale-aware check; the caller is expected to
-  /// fall back to a pivoting (dense) solve for this matrix.
-  bool refactor(const T* a_vals) {
-    const SparseLuSymbolic& s = *sym_;
-    const std::size_t n = s.n_;
-    std::fill(lu_vals_.begin(), lu_vals_.end(), T{});
-    std::fill(col_scale_.begin(), col_scale_.end(), 0.0);
-    for (std::size_t p = 0; p < s.scatter_.size(); ++p) {
-      const T v = a_vals[p];
-      lu_vals_[static_cast<std::size_t>(s.scatter_[p])] += v;
-      double& scale = col_scale_[static_cast<std::size_t>(s.scatter_col_[p])];
-      scale = std::max(scale, detail::mag_of(v));
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      const T piv = lu_vals_[static_cast<std::size_t>(s.diag_slot_[k])];
-      const double scale = col_scale_[k];
-      if (!(detail::mag_of(piv) > kPivotRelTol * scale) ||
-          scale < std::numeric_limits<double>::min()) {
-        return false;
-      }
-      const T inv_piv = T(1) / piv;
-      const int l0 = s.lcol_ptr_[k], l1 = s.lcol_ptr_[k + 1];
-      const int u0 = s.urow_ptr_[k], u1 = s.urow_ptr_[k + 1];
-      const int* upd = s.upd_slot_.data() + s.upd_ptr_[k];
-      for (int lp = l0; lp < l1; ++lp) {
-        T& lval = lu_vals_[static_cast<std::size_t>(s.lcol_slot_[lp])];
-        lval *= inv_piv;
-        if (lval == T{}) {
-          upd += (u1 - u0);
-          continue;
-        }
-        for (int up = u0; up < u1; ++up) {
-          lu_vals_[static_cast<std::size_t>(*upd++)] -=
-              lval * lu_vals_[static_cast<std::size_t>(s.urow_slot_[up])];
-        }
-      }
-    }
-    return true;
-  }
-
-  /// Solve A x = b (b and x must not alias; sizes n).
-  void solve(const T* b, T* x) const {
-    const SparseLuSymbolic& s = *sym_;
-    const std::size_t n = s.n_;
-    // z = P_r b; forward L (unit diagonal).
-    for (std::size_t i = 0; i < n; ++i) {
-      T acc = b[static_cast<std::size_t>(s.prow_[i])];
-      for (int p = s.lrow_ptr_[i]; p < s.lrow_ptr_[i + 1]; ++p) {
-        acc -= lu_vals_[static_cast<std::size_t>(s.lrow_slot_[p])] *
-               y_[static_cast<std::size_t>(s.lrow_idx_[p])];
-      }
-      y_[i] = acc;
-    }
-    // Backward U; then x = P_c^T y.
-    for (std::size_t ii = n; ii-- > 0;) {
-      T acc = y_[ii];
-      for (int p = s.urow_ptr_[ii]; p < s.urow_ptr_[ii + 1]; ++p) {
-        acc -= lu_vals_[static_cast<std::size_t>(s.urow_slot_[p])] *
-               y_[static_cast<std::size_t>(s.urow_idx_[p])];
-      }
-      y_[ii] = acc / lu_vals_[static_cast<std::size_t>(s.diag_slot_[ii])];
-    }
-    for (std::size_t j = 0; j < n; ++j)
-      x[static_cast<std::size_t>(s.pcol_[j])] = y_[j];
-  }
-
-  /// Solve A^T x = b (plain transpose — what adjoint noise analysis needs).
-  void solve_transposed(const T* b, T* x) const {
-    const SparseLuSymbolic& s = *sym_;
-    const std::size_t n = s.n_;
-    // B^T = U^T L^T with B = P_r A P_c: solve U^T w = P_c^T-permuted b.
-    for (std::size_t j = 0; j < n; ++j) {
-      T acc = b[static_cast<std::size_t>(s.pcol_[j])];
-      for (int p = s.ucol_ptr_[j]; p < s.ucol_ptr_[j + 1]; ++p) {
-        acc -= lu_vals_[static_cast<std::size_t>(s.ucol_slot_[p])] *
-               y_[static_cast<std::size_t>(s.ucol_idx_[p])];
-      }
-      y_[j] = acc / lu_vals_[static_cast<std::size_t>(s.diag_slot_[j])];
-    }
-    // L^T v = w (unit upper in transpose).
-    for (std::size_t kk = n; kk-- > 0;) {
-      T acc = y_[kk];
-      for (int p = s.lcol_ptr_[kk]; p < s.lcol_ptr_[kk + 1]; ++p) {
-        acc -= lu_vals_[static_cast<std::size_t>(s.lcol_slot_[p])] *
-               y_[static_cast<std::size_t>(s.lcol_idx_[p])];
-      }
-      y_[kk] = acc;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      x[static_cast<std::size_t>(s.prow_[i])] = y_[i];
-  }
-
- private:
-  const SparseLuSymbolic* sym_ = nullptr;
-  std::vector<T> lu_vals_;
-  std::vector<double> col_scale_;
-  mutable std::vector<T> y_;  // substitution scratch (solves are sequential)
-};
-
-/// Batched numeric kernel: K simulation lanes per elimination-program pass.
+/// The numeric kernel: K simulation lanes per elimination-program pass.
 ///
 /// Storage is struct-of-arrays with lane-contiguous slots, held as plain
 /// double arrays. A real slot s occupies K doubles at [s*K + lane]; a
@@ -502,18 +385,21 @@ class SparseLuNumeric {
 /// is straight-line double arithmetic the compiler vectorizes. Every inner
 /// loop over lanes is therefore unit-stride packed math, and the K
 /// dependent elimination chains run as independent instruction streams
-/// instead of one latency-bound chain.
+/// instead of one latency-bound chain. At K = 1 the layout is the plain
+/// scalar one, and refactor() and the solves run a copy of their loops
+/// built for a lane count of 1 (the same source, picked at run time).
 ///
 /// Serial-exact contract: lane l's pivot decisions, factors and solve
-/// results are bitwise identical to running SparseLuNumeric<T> over that
-/// lane's values alone. For complex T the multiply in the update loops is
-/// expanded as (ar*br - ai*bi, ar*bi + ai*br) — exactly the value the
-/// scalar kernel's operator* produces whenever the product is not the
-/// all-NaN case that triggers Annex G recovery (finite stamped matrices
-/// never are; lanes that go non-finite have already failed the pivot check
-/// and are discarded to the dense fallback). Complex divisions and
-/// magnitude checks go through the same std::complex library calls as the
-/// scalar kernel, so the Smith's-algorithm division rounding matches
+/// results are bitwise identical to running the scalar elimination (one
+/// value array, std::complex arithmetic) over that lane's values alone, and
+/// therefore independent of K and of the other lanes. For complex T the
+/// multiply in the update loops is expanded as (ar*br - ai*bi, ar*bi +
+/// ai*br) — exactly the value std::complex's operator* produces whenever
+/// the product is not the all-NaN case that triggers Annex G recovery
+/// (finite stamped matrices never are; lanes that go non-finite have
+/// already failed the pivot check and are discarded to the dense fallback).
+/// Complex divisions and magnitude checks go through the std::complex
+/// library calls, so the Smith's-algorithm division rounding matches
 /// bitwise. The zero-L-multiplier skip is classified per L slot across
 /// lanes: all lanes zero skips the whole update block (the scalar skip for
 /// every lane), no lane zero runs a branch-free lane loop (the scalar
@@ -529,6 +415,10 @@ class SparseLuNumericBatch {
   static constexpr std::size_t kComp = kComplex ? 2 : 1;
 
  public:
+  /// Scale-aware pivot acceptance: |pivot| must exceed this fraction of the
+  /// largest |entry| stamped into its (permuted) column.
+  static constexpr double kPivotRelTol = 1e-13;
+
   SparseLuNumericBatch() = default;
 
   SparseLuNumericBatch(const SparseLuSymbolic& symbolic, std::size_t lanes) {
@@ -558,40 +448,52 @@ class SparseLuNumericBatch {
 
   /// Refactorize all lanes from `a_vals` (layout [a_slot*K + lane]).
   /// `lane_ok[l]` (size K) is set to 1 when lane l passed every scale-aware
-  /// pivot check — the same predicate, in the same pivot order, as the
-  /// scalar refactor — and 0 otherwise; failed lanes carry no usable
-  /// factors and the caller is expected to dense-fall-back per lane.
+  /// pivot check, in pivot order, and 0 otherwise; failed lanes carry no
+  /// usable factors and the caller is expected to dense-fall-back per lane.
   void refactor(const T* a_vals, unsigned char* lane_ok) {
-    refactor_impl(
-        [a_vals, K = lanes_](std::size_t p, std::size_t l) {
-          return a_vals[p * K + l];
-        },
-        lane_ok);
+    const auto src = [a_vals](std::size_t i) { return a_vals[i]; };
+    lanes_ == 1 ? refactor_impl<1>(src, lane_ok)
+                : refactor_impl<0>(src, lane_ok);
   }
 
   /// Complex-only fused AC refactorization: forms y = g + i*omega*c on the
   /// fly from the separate conductance/capacitance lane arrays (both laid
   /// out [a_slot*K + lane]) instead of requiring the caller to materialize
   /// an interleaved complex array per frequency point. The imaginary part
-  /// is computed as omega * c — the identical expression the AC assembly
-  /// uses — so the factors are bitwise the same as refactor() on that
-  /// materialized array.
+  /// is computed as omega * c, so the factors are bitwise the same as
+  /// refactor() on that materialized array.
   void refactor_gc(const double* g_vals, const double* c_vals, double omega,
                    unsigned char* lane_ok) {
     static_assert(kComplex, "refactor_gc is the complex AC entry point");
-    refactor_impl(
-        [g_vals, c_vals, omega, K = lanes_](std::size_t p, std::size_t l) {
-          return T(g_vals[p * K + l], omega * c_vals[p * K + l]);
-        },
-        lane_ok);
+    const auto src = [g_vals, c_vals, omega](std::size_t i) {
+      return T(g_vals[i], omega * c_vals[i]);
+    };
+    lanes_ == 1 ? refactor_impl<1>(src, lane_ok)
+                : refactor_impl<0>(src, lane_ok);
+  }
+
+  /// Solve A x = b for every lane (b, x laid out [i*K + lane]; must not
+  /// alias). Failed lanes produce unspecified values — the caller replaces
+  /// them with its dense-fallback solution.
+  void solve(const T* b, T* x) const {
+    lanes_ == 1 ? solve_impl<1>(b, x) : solve_impl<0>(b, x);
+  }
+
+  /// Solve A^T x = b for every lane (adjoint noise analysis).
+  void solve_transposed(const T* b, T* x) const {
+    lanes_ == 1 ? solve_transposed_impl<1>(b, x)
+                : solve_transposed_impl<0>(b, x);
   }
 
  private:
-  template <typename Src>
+  /// The loops below take the lane count as KC when it is fixed at compile
+  /// time (1) and read it from lanes_ when KC is 0. `src(i)` is the A value
+  /// at flat index i = a_slot*K + lane.
+  template <std::size_t KC, typename Src>
   void refactor_impl(Src src, unsigned char* lane_ok) {
     const SparseLuSymbolic& s = *sym_;
     const std::size_t n = s.n_;
-    const std::size_t K = lanes_;
+    const std::size_t K = KC != 0 ? KC : lanes_;
     double* const lu = lu_vals_.data();
     std::fill(lu_vals_.begin(), lu_vals_.end(), 0.0);
     std::fill(col_scale_.begin(), col_scale_.end(), 0.0);
@@ -604,10 +506,10 @@ class SparseLuNumericBatch {
       double* scale =
           col_scale_.data() + static_cast<std::size_t>(s.scatter_col_[p]) * K;
       for (std::size_t l = 0; l < K; ++l) {
-        const T v = src(p, l);
+        const T v = src(p * K + l);
         if constexpr (kComplex) {
-          // Track |re|+|im| instead of the hypot the scalar kernel uses:
-          // it brackets the true magnitude within 2x (m/2 <= |v| <= m for
+          // Track |re|+|im| instead of the hypot of the exact scales: it
+          // brackets the true magnitude within 2x (m/2 <= |v| <= m for
           // finite v), which is all the pivot screen below needs, and it is
           // branch-free vector math instead of a libm call per lane. The
           // running sum poisons to NaN/inf the moment any entry does, which
@@ -638,10 +540,10 @@ class SparseLuNumericBatch {
       const double* scale = col_scale_.data() + k * K;
       for (std::size_t l = 0; l < K; ++l) {
         if (lane_ok[l] == 0) {
-          // Dead lane: the scalar kernel bailed out at its first failed
+          // Dead lane: the scalar elimination bailed out at its first failed
           // pivot, so no further decisions exist to mirror. Zero inverse
           // pivots keep the surviving lanes' passes finite.
-          store(inv_piv_.data(), l, T{});
+          store(inv_piv_.data(), l, K, T{});
           continue;
         }
         bool ok = false;
@@ -649,15 +551,15 @@ class SparseLuNumericBatch {
           // Conservative screen on the |re|+|im| bounds: certifies the
           // overwhelmingly common "pivot comfortably passes" case without
           // any hypot. Inconclusive lanes switch to the exact per-column
-          // scales (the scalar kernel's own max-of-hypots), so the
-          // accept/reject decision — and therefore every factor — is
-          // always the scalar one. A NaN pivot component makes the screen
-          // comparison false, which is exactly the conservative direction.
+          // scales (max of std::abs), so the accept/reject decision — and
+          // therefore every factor — is always the exact one. A NaN pivot
+          // component makes the screen comparison false, which is exactly
+          // the conservative direction.
           if (lane_exact_[l] == 0) {
             const double ub = scale[l];
             const double piv_lb =
                 0.5 * (std::fabs(piv[l]) + std::fabs(piv[K + l]));
-            if (piv_lb > SparseLuNumeric<T>::kPivotRelTol * ub &&
+            if (piv_lb > kPivotRelTol * ub &&
                 0.5 * ub >= std::numeric_limits<double>::min()) {
               ok = true;
             } else {
@@ -667,22 +569,19 @@ class SparseLuNumericBatch {
           }
           if (lane_exact_[l] != 0) {
             const double esc = exact_scale_[k * K + l];
-            ok = !(!(detail::mag_of(load(piv, l)) >
-                     SparseLuNumeric<T>::kPivotRelTol * esc) ||
+            ok = !(!(detail::mag_of(load(piv, l, K)) > kPivotRelTol * esc) ||
                    esc < std::numeric_limits<double>::min());
           }
         } else {
-          // Mirrors the scalar acceptance exactly (including NaN
-          // behaviour: !(mag > tol*scale) fails the lane).
-          ok = !(!(detail::mag_of(load(piv, l)) >
-                   SparseLuNumeric<T>::kPivotRelTol * scale[l]) ||
+          // NaN fails the lane: !(mag > tol*scale).
+          ok = !(!(detail::mag_of(load(piv, l, K)) > kPivotRelTol * scale[l]) ||
                  scale[l] < std::numeric_limits<double>::min());
         }
         lane_ok[l] = static_cast<unsigned char>(lane_ok[l] & (ok ? 1 : 0));
-        // Division goes through the std::complex operator so the rounding
-        // matches the scalar kernel bitwise.
-        store(inv_piv_.data(), l,
-              lane_ok[l] != 0 ? T(1) / load(piv, l) : T{});
+        // Division goes through the std::complex operator (Smith's
+        // algorithm rounding).
+        store(inv_piv_.data(), l, K,
+              lane_ok[l] != 0 ? T(1) / load(piv, l, K) : T{});
       }
       const int l0 = s.lcol_ptr_[k], l1 = s.lcol_ptr_[k + 1];
       const int u0 = s.urow_ptr_[k], u1 = s.urow_ptr_[k + 1];
@@ -744,20 +643,18 @@ class SparseLuNumericBatch {
     }
   }
 
- public:
-  /// Solve A x = b for every lane (b, x laid out [i*K + lane]; must not
-  /// alias). Failed lanes produce unspecified values — the caller replaces
-  /// them with its dense-fallback solution.
-  void solve(const T* b, T* x) const {
+  template <std::size_t KC>
+  void solve_impl(const T* b, T* x) const {
     const SparseLuSymbolic& s = *sym_;
     const std::size_t n = s.n_;
-    const std::size_t K = lanes_;
+    const std::size_t K = KC != 0 ? KC : lanes_;
     const double* const lu = lu_vals_.data();
     double* const y = y_.data();
+    // z = P_r b; forward L (unit diagonal).
     for (std::size_t i = 0; i < n; ++i) {
       double* __restrict yi = y + i * K * kComp;
       const T* bi = b + static_cast<std::size_t>(s.prow_[i]) * K;
-      for (std::size_t l = 0; l < K; ++l) store(yi, l, bi[l]);
+      for (std::size_t l = 0; l < K; ++l) store(yi, l, K, bi[l]);
       for (int p = s.lrow_ptr_[i]; p < s.lrow_ptr_[i + 1]; ++p) {
         const double* __restrict lv =
             lu + static_cast<std::size_t>(s.lrow_slot_[p]) * K * kComp;
@@ -766,6 +663,7 @@ class SparseLuNumericBatch {
         fnmadd(yi, lv, yj, K);
       }
     }
+    // Backward U; then x = P_c^T y.
     for (std::size_t ii = n; ii-- > 0;) {
       double* __restrict yi = y + ii * K * kComp;
       for (int p = s.urow_ptr_[ii]; p < s.urow_ptr_[ii + 1]; ++p) {
@@ -778,27 +676,28 @@ class SparseLuNumericBatch {
       const double* dv =
           lu + static_cast<std::size_t>(s.diag_slot_[ii]) * K * kComp;
       for (std::size_t l = 0; l < K; ++l) {
-        store(yi, l, load(yi, l) / load(dv, l));
+        store(yi, l, K, load(yi, l, K) / load(dv, l, K));
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
       T* xj = x + static_cast<std::size_t>(s.pcol_[j]) * K;
       const double* yj = y + j * K * kComp;
-      for (std::size_t l = 0; l < K; ++l) xj[l] = load(yj, l);
+      for (std::size_t l = 0; l < K; ++l) xj[l] = load(yj, l, K);
     }
   }
 
-  /// Solve A^T x = b for every lane (adjoint noise analysis).
-  void solve_transposed(const T* b, T* x) const {
+  template <std::size_t KC>
+  void solve_transposed_impl(const T* b, T* x) const {
     const SparseLuSymbolic& s = *sym_;
     const std::size_t n = s.n_;
-    const std::size_t K = lanes_;
+    const std::size_t K = KC != 0 ? KC : lanes_;
     const double* const lu = lu_vals_.data();
     double* const y = y_.data();
+    // B^T = U^T L^T with B = P_r A P_c: solve U^T w = P_c^T-permuted b.
     for (std::size_t j = 0; j < n; ++j) {
       double* __restrict yj = y + j * K * kComp;
       const T* bj = b + static_cast<std::size_t>(s.pcol_[j]) * K;
-      for (std::size_t l = 0; l < K; ++l) store(yj, l, bj[l]);
+      for (std::size_t l = 0; l < K; ++l) store(yj, l, K, bj[l]);
       for (int p = s.ucol_ptr_[j]; p < s.ucol_ptr_[j + 1]; ++p) {
         const double* __restrict uv =
             lu + static_cast<std::size_t>(s.ucol_slot_[p]) * K * kComp;
@@ -809,9 +708,10 @@ class SparseLuNumericBatch {
       const double* dv =
           lu + static_cast<std::size_t>(s.diag_slot_[j]) * K * kComp;
       for (std::size_t l = 0; l < K; ++l) {
-        store(yj, l, load(yj, l) / load(dv, l));
+        store(yj, l, K, load(yj, l, K) / load(dv, l, K));
       }
     }
+    // L^T v = w (unit upper in transpose).
     for (std::size_t kk = n; kk-- > 0;) {
       double* __restrict yk = y + kk * K * kComp;
       for (int p = s.lcol_ptr_[kk]; p < s.lcol_ptr_[kk + 1]; ++p) {
@@ -825,32 +725,30 @@ class SparseLuNumericBatch {
     for (std::size_t i = 0; i < n; ++i) {
       T* xi = x + static_cast<std::size_t>(s.prow_[i]) * K;
       const double* yi = y + i * K * kComp;
-      for (std::size_t l = 0; l < K; ++l) xi[l] = load(yi, l);
+      for (std::size_t l = 0; l < K; ++l) xi[l] = load(yi, l, K);
     }
   }
 
- private:
-  /// Load/store lane l of a split slot block as the element type.
-  T load(const double* slot, std::size_t l) const {
+  /// Load/store lane l of a split slot block of K lanes as the element type.
+  static T load(const double* slot, std::size_t l, std::size_t K) {
     if constexpr (kComplex) {
-      return T(slot[l], slot[lanes_ + l]);
+      return T(slot[l], slot[K + l]);
     } else {
       return slot[l];
     }
   }
-  void store(double* slot, std::size_t l, T v) const {
+  static void store(double* slot, std::size_t l, std::size_t K, T v) {
     if constexpr (kComplex) {
       slot[l] = v.real();
-      slot[lanes_ + l] = v.imag();
+      slot[K + l] = v.imag();
     } else {
       slot[l] = v;
     }
   }
 
-  /// Recompute lane l's per-column pivot scales exactly as the scalar
-  /// kernel does (max of std::abs over the column's A entries). Called only
-  /// when the cheap screen in refactor() is inconclusive or the lane's
-  /// values are not all finite.
+  /// Recompute lane l's per-column pivot scales exactly (max of std::abs
+  /// over the column's A entries). Called only when the cheap screen in
+  /// refactor() is inconclusive or the lane's values are not all finite.
   template <typename Src>
   void fill_exact_scale(Src src, std::size_t l) {
     const SparseLuSymbolic& s = *sym_;
@@ -859,7 +757,7 @@ class SparseLuNumericBatch {
     for (std::size_t p = 0; p < s.scatter_.size(); ++p) {
       double& sc =
           exact_scale_[static_cast<std::size_t>(s.scatter_col_[p]) * K + l];
-      sc = std::max(sc, detail::mag_of(src(p, l)));
+      sc = std::max(sc, detail::mag_of(src(p * K + l)));
     }
   }
 
@@ -886,8 +784,8 @@ class SparseLuNumericBatch {
   std::vector<double> inv_piv_;    // per-lane inverse pivot scratch (split)
   mutable std::vector<double> y_;  // substitution scratch (split)
   // Complex-only pivot-screen state: running |re|+|im| sum per lane (NaN/
-  // inf poison detection), per-lane "use exact scales" flag, and the
-  // exact scalar-identical per-column scales for flagged lanes.
+  // inf poison detection), per-lane "use exact scales" flag, and the exact
+  // per-column scales for flagged lanes.
   std::vector<double> finite_acc_;
   std::vector<unsigned char> lane_exact_;
   std::vector<double> exact_scale_;

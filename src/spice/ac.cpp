@@ -5,7 +5,7 @@
 #include <optional>
 #include <string>
 
-#include "spice/complex_solver.hpp"
+#include "spice/sweep.hpp"
 #include "spice/units.hpp"
 
 namespace autockt::spice {
@@ -34,61 +34,26 @@ util::Expected<std::vector<AcPoint>> ac_sweep(const Circuit& circuit,
                                               NodeId probe_m,
                                               const AcOptions& options) {
   if (auto bad = detail::sweep_error(options, "AC sweep", 2)) return *bad;
-  const int total =
-      sweep_points(options.f_start, options.f_stop, options.points_per_decade);
-  std::vector<AcPoint> sweep;
-  sweep.reserve(static_cast<std::size_t>(total));
-
-  if (options.kernel == SimKernel::Dense) {
-    detail::DenseAcAssembly assembly(circuit, op.node_v);
-    for (int i = 0; i < total; ++i) {
-      const double freq =
-          sweep_freq(options.f_start, options.f_stop, i, total);
-      if (!assembly.factor(2.0 * kPi * freq)) return singular_error(freq);
-      sweep.push_back({freq, probe_of(assembly.lu->solve(assembly.b),
-                                      probe_p, probe_m)});
-    }
-    return sweep;
-  }
-
   std::optional<SimWorkspace> scratch;
   SimWorkspace* ws = options.workspace;
-  if (ws != nullptr &&
-      (!ws->compatible(circuit) || !ws->has_complex())) {
-    return util::Error{"AC sweep: workspace does not match the circuit", 2};
-  }
   if (ws == nullptr) {
     scratch.emplace(circuit, SimWorkspace::Sides::Complex);
     ws = &*scratch;
   }
-  // One stamping pass serves the whole sweep; each frequency point is a
-  // numeric-only refactorization of G + j*omega*C.
-  ComplexStamp ctx = ws->begin_complex(op.node_v);
-  circuit.stamp_complex(ctx);
-  for (int i = 0; i < total; ++i) {
-    const double freq = sweep_freq(options.f_start, options.f_stop, i, total);
-    if (!ws->factor_complex(2.0 * kPi * freq)) return singular_error(freq);
-    sweep.push_back({freq, probe_of(ws->solve_complex(), probe_p, probe_m)});
-  }
-  return sweep;
+  return std::move(
+      ac_sweep_batch({&circuit}, {&op}, probe_p, probe_m, options, *ws)
+          .front());
 }
 
 std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,
     const AcOptions& options, SimWorkspace& ws) {
+  kernel_counters::CallScope counts;
   const std::size_t K = circuits.size();
   std::vector<util::Expected<std::vector<AcPoint>>> results;
   if (auto bad = detail::sweep_error(options, "AC sweep", 2)) {
     results.assign(K, *bad);
-    return results;
-  }
-  if (K == 1) {
-    // One lane: the scalar sweep on `ws` (see solve_op_batch).
-    AcOptions one = options;
-    one.kernel = SimKernel::Sparse;
-    one.workspace = &ws;
-    results.push_back(ac_sweep(*circuits[0], *ops[0], probe_p, probe_m, one));
     return results;
   }
   results.assign(K, std::vector<AcPoint>{});
@@ -96,7 +61,8 @@ std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
   const int total =
       sweep_points(options.f_start, options.f_stop, options.points_per_decade);
 
-  ws.ensure_complex_batch(K);
+  // One stamping pass per lane serves the whole sweep; each frequency point
+  // is a numeric-only refactorization of G + j*omega*C.
   std::vector<char> live(K, 1);
   std::vector<std::vector<AcPoint>> sweeps(K);
   for (std::size_t l = 0; l < K; ++l) {
@@ -104,21 +70,23 @@ std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
       results[l] =
           util::Error{"AC sweep: workspace does not match the circuit", 2};
       live[l] = 0;
-      continue;
     }
-    ComplexStamp ctx = ws.begin_complex(ops[l]->node_v);
-    circuits[l]->stamp_complex(ctx);
-    ws.commit_complex_batch_lane(l);
-    sweeps[l].reserve(static_cast<std::size_t>(total));
   }
   // No lane fits `ws` (e.g. it has no complex side): nothing to factor.
   if (std::count(live.begin(), live.end(), 1) == 0) return results;
+  ws.begin_complex(K);
+  for (std::size_t l = 0; l < K; ++l) {
+    if (live[l] == 0) continue;
+    ComplexStamp ctx = ws.stamp_complex(l, ops[l]->node_v);
+    circuits[l]->stamp_complex(ctx);
+    sweeps[l].reserve(static_cast<std::size_t>(total));
+  }
 
   std::vector<std::complex<double>> x_lane;
   for (int i = 0; i < total; ++i) {
     const double freq = sweep_freq(options.f_start, options.f_stop, i, total);
-    ws.factor_complex_batch(2.0 * kPi * freq);
-    ws.solve_complex_batch();
+    ws.factor_complex(2.0 * kPi * freq);
+    ws.solve_complex();
     for (std::size_t l = 0; l < K; ++l) {
       if (live[l] == 0) continue;
       if (!ws.complex_lane_solvable(l)) {
@@ -139,25 +107,25 @@ std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
 util::Expected<std::vector<std::complex<double>>> ac_solve_at(
     const Circuit& circuit, const OpPoint& op, double freq,
     const AcOptions& options) {
-  if (options.kernel == SimKernel::Dense) {
-    detail::DenseAcAssembly assembly(circuit, op.node_v);
-    if (!assembly.factor(2.0 * kPi * freq)) return singular_error(freq);
-    return assembly.lu->solve(assembly.b);
-  }
   std::optional<SimWorkspace> scratch;
   SimWorkspace* ws = options.workspace;
   if (ws != nullptr &&
       (!ws->compatible(circuit) || !ws->has_complex())) {
     return util::Error{"AC solve: workspace does not match the circuit", 2};
   }
+  kernel_counters::CallScope counts;
   if (ws == nullptr) {
     scratch.emplace(circuit, SimWorkspace::Sides::Complex);
     ws = &*scratch;
   }
-  ComplexStamp ctx = ws->begin_complex(op.node_v);
+  ws->begin_complex(1);
+  ComplexStamp ctx = ws->stamp_complex(0, op.node_v);
   circuit.stamp_complex(ctx);
   if (!ws->factor_complex(2.0 * kPi * freq)) return singular_error(freq);
-  return ws->solve_complex();
+  ws->solve_complex();
+  std::vector<std::complex<double>> x;
+  ws->complex_lane_solution(0, x);
+  return x;
 }
 
 }  // namespace autockt::spice

@@ -4,8 +4,7 @@
 //
 // The sweep is restamp-free: devices stamp the frequency-independent G and
 // the capacitance C exactly once per operating point; every frequency point
-// forms Y = G + j*omega*C and runs a numeric-only refactorization on the
-// sparse kernel (or a fresh dense LU on the reference kernel).
+// forms Y = G + j*omega*C and runs a numeric-only refactorization.
 
 #include <complex>
 #include <vector>
@@ -25,13 +24,13 @@ struct AcOptions {
   double f_start = 1e3;
   double f_stop = 1e11;
   int points_per_decade = 10;
-  SimKernel kernel = SimKernel::Sparse;
-  /// Reusable workspace (sparse kernel); temporary per call when null.
+  /// Reusable workspace; temporary per call when null.
   SimWorkspace* workspace = nullptr;
 };
 
-/// Log-spaced sweep of the probe voltage. Fails if the AC matrix is singular
-/// at any frequency (which indicates a malformed netlist).
+/// Log-spaced sweep of the probe voltage, a one-lane ac_sweep_batch(). Fails
+/// if the AC matrix is singular at any frequency (which indicates a
+/// malformed netlist).
 util::Expected<std::vector<AcPoint>> ac_sweep(const Circuit& circuit,
                                               const OpPoint& op, NodeId probe_p,
                                               NodeId probe_m,
@@ -46,9 +45,8 @@ util::Expected<std::vector<std::complex<double>>> ac_solve_at(
 /// `ws`): each lane stamps G/C once, then every frequency point is one
 /// batched refactorization + solve across all lanes. Per-lane results are
 /// identical to ac_sweep() — a lane whose matrix goes singular gets that
-/// lane's singular error while the other lanes complete. `options.kernel`
-/// and `options.workspace` are ignored (the shared sparse `ws` is used). A
-/// single lane runs the scalar sweep on `ws`.
+/// lane's singular error while the other lanes complete.
+/// `options.workspace` is ignored (the shared `ws` is used).
 std::vector<util::Expected<std::vector<AcPoint>>> ac_sweep_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,

@@ -1,15 +1,16 @@
 #include "spice/dc.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
-#include "spice/real_solver.hpp"
+#include "spice/newton.hpp"
 
 namespace autockt::spice {
 
 namespace {
 
 using detail::kNoExtraStamps;
+using detail::newton_converged;
 using detail::StampKnobs;
 
 struct NewtonResult {
@@ -18,9 +19,8 @@ struct NewtonResult {
 };
 
 /// Plain damped Newton at fixed (gmin, source_scale), warm-started from
-/// `x0`, over either kernel driver.
-template <typename Driver>
-NewtonResult newton(const Circuit& circuit, Driver& driver,
+/// `x0`, as one-lane passes on `ws`.
+NewtonResult newton(const Circuit& circuit, SimWorkspace& ws,
                     const DcOptions& opt, double gmin, double source_scale,
                     std::vector<double> x0) {
   const std::size_t n_unknowns = circuit.num_unknowns();
@@ -38,18 +38,14 @@ NewtonResult newton(const Circuit& circuit, Driver& driver,
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     kernel_counters::add_newton_iterations(1);
     for (NodeId n = 1; n < n_nodes; ++n) node_v[n] = res.x[n - 1];
-    if (!driver.solve(circuit, node_v, knobs, kNoExtraStamps, x_new)) {
+    if (!detail::solve_one_lane(ws, circuit, node_v, knobs, kNoExtraStamps,
+                                x_new)) {
       return res;  // singular: report non-convergence
     }
 
     // Convergence check on the undamped node-voltage update.
-    double worst = 0.0;
-    for (std::size_t i = 0; i + 1 < n_nodes; ++i) {
-      const double dv = std::fabs(x_new[i] - res.x[i]);
-      const double tol = opt.v_abstol + opt.v_reltol * std::fabs(x_new[i]);
-      worst = std::max(worst, dv - tol);
-    }
-    if (worst <= 0.0) {
+    if (newton_converged(x_new, res.x, n_nodes - 1, opt.v_abstol,
+                         opt.v_reltol)) {
       res.x = x_new;
       res.converged = true;
       return res;
@@ -68,12 +64,10 @@ NewtonResult newton(const Circuit& circuit, Driver& driver,
 }
 
 /// Stages 2 + 3 of the DC fallback chain (gmin stepping, then source
-/// stepping), from the cold-start guess `x0`. Shared by the scalar solver
-/// and the batched solver's per-lane retirement path; both homotopy stages
-/// restart from `x0`/zeros, so results are independent of how the earlier
-/// stages were executed.
-template <typename Driver>
-util::Expected<OpPoint> homotopy_tail(const Circuit& circuit, Driver& driver,
+/// stepping), from the cold-start guess `x0`, for a lane that exhausted
+/// the lockstep stages. Both homotopy stages restart from `x0`/zeros, so
+/// results are independent of how the earlier stages were executed.
+util::Expected<OpPoint> homotopy_tail(const Circuit& circuit, SimWorkspace& ws,
                                       const DcOptions& options,
                                       const std::vector<double>& x0) {
   // Homotopy stages run with a larger iteration budget: they are the
@@ -85,7 +79,7 @@ util::Expected<OpPoint> homotopy_tail(const Circuit& circuit, Driver& driver,
   std::vector<double> x = x0;
   bool chain_ok = true;
   for (double gmin = 1e-2; gmin >= 1e-13; gmin *= 1e-2) {
-    NewtonResult r = newton(circuit, driver, homotopy, gmin, 1.0, x);
+    NewtonResult r = newton(circuit, ws, homotopy, gmin, 1.0, x);
     if (!r.converged) {
       chain_ok = false;
       break;
@@ -93,7 +87,7 @@ util::Expected<OpPoint> homotopy_tail(const Circuit& circuit, Driver& driver,
     x = r.x;
   }
   if (chain_ok) {
-    NewtonResult r = newton(circuit, driver, homotopy, 0.0, 1.0, x);
+    NewtonResult r = newton(circuit, ws, homotopy, 0.0, 1.0, x);
     if (r.converged) return circuit.unpack(r.x);
   }
 
@@ -101,7 +95,7 @@ util::Expected<OpPoint> homotopy_tail(const Circuit& circuit, Driver& driver,
   x.assign(circuit.num_unknowns(), 0.0);
   chain_ok = true;
   for (double scale : {0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 1.0}) {
-    NewtonResult r = newton(circuit, driver, homotopy, 0.0, scale, x);
+    NewtonResult r = newton(circuit, ws, homotopy, 0.0, scale, x);
     if (!r.converged) {
       chain_ok = false;
       break;
@@ -146,76 +140,30 @@ std::vector<double> warm_start_guess(const Circuit& circuit,
   return xw;
 }
 
-template <typename Driver>
-util::Expected<OpPoint> solve_op_impl(const Circuit& circuit, Driver& driver,
-                                      const DcOptions& options) {
-  // Stage 0: warm start from a nearby design's converged operating point.
-  // A hit skips stamping heuristics entirely; a miss falls through to the
-  // cold-start chain below, keeping behaviour deterministic.
-  std::vector<double> xw = warm_start_guess(circuit, options);
-  if (!xw.empty()) {
-    kernel_counters::add_warm_start_attempt();
-    NewtonResult warm =
-        newton(circuit, driver, options, 0.0, 1.0, std::move(xw));
-    if (warm.converged) {
-      kernel_counters::add_warm_start_hit();
-      return circuit.unpack(warm.x);
-    }
-  }
-
-  const std::vector<double> x0 = cold_start_guess(circuit, options);
-
-  // Stage 1: plain Newton from the caller's guess.
-  NewtonResult best = newton(circuit, driver, options, 0.0, 1.0, x0);
-  if (best.converged) return circuit.unpack(best.x);
-
-  // Stages 2 + 3: homotopy fallback chain.
-  return homotopy_tail(circuit, driver, options, x0);
-}
-
 util::Error workspace_mismatch() {
   return util::Error{"DC solve: workspace does not match the circuit", 1};
-}
-
-/// The scalar sparse solve on a caller-owned workspace.
-util::Expected<OpPoint> solve_op_on(const Circuit& circuit,
-                                    const DcOptions& options,
-                                    SimWorkspace& ws) {
-  // A stale workspace would stamp through the wrong frozen pattern; fail
-  // deterministically instead of producing plausible garbage.
-  if (!ws.compatible(circuit) || !ws.has_real()) return workspace_mismatch();
-  detail::SparseRealDriver driver{ws};
-  return solve_op_impl(circuit, driver, options);
 }
 
 }  // namespace
 
 util::Expected<OpPoint> solve_op(const Circuit& circuit,
                                  const DcOptions& options) {
-  if (options.kernel == SimKernel::Dense) {
-    detail::DenseRealDriver driver(circuit.num_unknowns());
-    return solve_op_impl(circuit, driver, options);
+  std::optional<SimWorkspace> scratch;
+  SimWorkspace* ws = options.workspace;
+  if (ws == nullptr) {
+    scratch.emplace(circuit, SimWorkspace::Sides::Real);
+    ws = &*scratch;
   }
-  if (options.workspace != nullptr) {
-    return solve_op_on(circuit, options, *options.workspace);
-  }
-  SimWorkspace scratch(circuit, SimWorkspace::Sides::Real);
-  detail::SparseRealDriver driver{scratch};
-  return solve_op_impl(circuit, driver, options);
+  return std::move(solve_op_batch({&circuit}, {options}, *ws).front());
 }
 
 std::vector<util::Expected<OpPoint>> solve_op_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<DcOptions>& options, SimWorkspace& ws) {
+  kernel_counters::CallScope counts;
   const std::size_t K = circuits.size();
-  std::vector<util::Expected<OpPoint>> results;
-  if (K == 1) {
-    // One lane shares its kernel passes with nobody: the scalar kernel
-    // gives the same answer without the lane bookkeeping.
-    results.push_back(solve_op_on(*circuits[0], options[0], ws));
-    return results;
-  }
-  results.assign(K, util::Error{"DC operating point did not converge", 1});
+  std::vector<util::Expected<OpPoint>> results(
+      K, util::Error{"DC operating point did not converge", 1});
   if (K == 0) return results;
 
   // Per-lane Newton state for the lockstep stages. Stage 0 is the warm
@@ -252,11 +200,14 @@ std::vector<util::Expected<OpPoint>> solve_op_batch(
       lane.stage = 1;
       lane.x = lane.x0;
     }
-    lane.active = true;
+    // A stage without an iteration budget fails at once, as a Newton loop
+    // of zero iterations would.
+    lane.active = lane.opt->max_iterations > 0;
+    lane.needs_homotopy = !lane.active;
   }
 
   // A failed stage moves the lane forward: warm miss -> cold start, cold
-  // exhaustion -> retire to the scalar homotopy chain below.
+  // exhaustion -> retire to the homotopy chain below.
   const auto advance_stage = [](Lane& lane) {
     if (lane.stage == 0) {
       lane.stage = 1;
@@ -277,45 +228,35 @@ std::vector<util::Expected<OpPoint>> solve_op_batch(
     }
     if (slots.empty()) break;
     const std::size_t n_active = slots.size();
-    ws.ensure_real_batch(n_active);
+    ws.begin_real(n_active);
     kernel_counters::add_newton_iterations(static_cast<long>(n_active));
 
-    // One restamp sweep: every active lane stages through the scalar value
-    // arrays (preserving the scalar accumulation order) and commits its SoA
-    // column.
+    // One restamp sweep: every active lane stamps straight into its own
+    // column of the pass.
     for (std::size_t s = 0; s < n_active; ++s) {
       Lane& lane = lanes[slots[s]];
       ++lane.iter;
       const std::size_t n_nodes = lane.circuit->num_nodes();
       for (NodeId n = 1; n < n_nodes; ++n) lane.node_v[n] = lane.x[n - 1];
-      RealStamp ctx = ws.begin_real(lane.node_v);
-      ctx.gmin = 0.0;
-      ctx.source_scale = 1.0;
+      RealStamp ctx = ws.stamp_real(s, lane.node_v);
       lane.circuit->stamp_real(ctx);
-      ws.commit_real_batch_lane(s);
     }
-    ws.factor_real_batch();
-    ws.solve_real_batch();
+    ws.factor_real();
+    ws.solve_real();
 
     for (std::size_t s = 0; s < n_active; ++s) {
       Lane& lane = lanes[slots[s]];
       const DcOptions& opt = *lane.opt;
       if (!ws.real_lane_solvable(s)) {
-        advance_stage(lane);  // singular: the scalar stage reports failure
+        advance_stage(lane);  // singular: the stage reports failure
         continue;
       }
       ws.real_lane_solution(s, x_new);
 
-      // Convergence check on the undamped node-voltage update (identical to
-      // the scalar newton()).
+      // Convergence check on the undamped node-voltage update.
       const std::size_t n_nodes = lane.circuit->num_nodes();
-      double worst = 0.0;
-      for (std::size_t i = 0; i + 1 < n_nodes; ++i) {
-        const double dv = std::fabs(x_new[i] - lane.x[i]);
-        const double tol = opt.v_abstol + opt.v_reltol * std::fabs(x_new[i]);
-        worst = std::max(worst, dv - tol);
-      }
-      if (worst <= 0.0) {
+      if (newton_converged(x_new, lane.x, n_nodes - 1, opt.v_abstol,
+                           opt.v_reltol)) {
         lane.x = x_new;
         if (lane.stage == 0) kernel_counters::add_warm_start_hit();
         results[slots[s]] = lane.circuit->unpack(lane.x);
@@ -336,14 +277,13 @@ std::vector<util::Expected<OpPoint>> solve_op_batch(
     }
   }
 
-  // Retired lanes: scalar homotopy chain on the shared workspace (stages 2
-  // and 3 restart from x0/zeros, so the result is independent of the
-  // lockstep stages above — identical to the scalar fallback).
+  // Retired lanes: the homotopy chain, one lane at a time on the shared
+  // workspace (stages 2 and 3 restart from x0/zeros, so the result is
+  // independent of the lockstep stages above).
   for (std::size_t l = 0; l < K; ++l) {
     if (!lanes[l].needs_homotopy) continue;
-    detail::SparseRealDriver driver{ws};
     results[l] =
-        homotopy_tail(*lanes[l].circuit, driver, *lanes[l].opt, lanes[l].x0);
+        homotopy_tail(*lanes[l].circuit, ws, *lanes[l].opt, lanes[l].x0);
   }
   return results;
 }

@@ -21,11 +21,8 @@ struct DcOptions {
   /// ground). Empty means all-zeros.
   std::vector<double> initial_node_v;
 
-  /// Sparse is the production path; Dense keeps the legacy allocating
-  /// partial-pivot kernel as the parity tests' oracle.
-  SimKernel kernel = SimKernel::Sparse;
-  /// Reusable workspace for the sparse kernel (one symbolic factorization
-  /// per topology). A temporary workspace is built per call when null.
+  /// Reusable workspace (one symbolic factorization per topology). A
+  /// temporary workspace is built per call when null.
   SimWorkspace* workspace = nullptr;
   /// Optional warm start: the converged operating point of a nearby design
   /// (e.g. the previous RL env step, one grid move away). Tried as Newton
@@ -34,6 +31,7 @@ struct DcOptions {
   const OpPoint* warm_start = nullptr;
 };
 
+/// A one-lane solve_op_batch() on `options.workspace` (or a temporary one).
 util::Expected<OpPoint> solve_op(const Circuit& circuit,
                                  const DcOptions& options = {});
 
@@ -42,13 +40,12 @@ util::Expected<OpPoint> solve_op(const Circuit& circuit,
 /// warm and cold Newton stages run in lockstep over the batched kernel —
 /// one restamp sweep per iteration, one SoA factor/solve for all still-
 /// active lanes — and lanes retire independently the moment they converge.
-/// Lanes that exhaust the cold stage fall back to the scalar homotopy chain
-/// (gmin stepping, then source stepping), exactly as solve_op() would.
-/// Per-lane results, convergence outcomes and Newton iteration counts are
-/// identical to calling solve_op() per lane with `options[lane]`.
-/// `options[lane].kernel`/`workspace` are ignored (the shared `ws` is
-/// used); `warm_start` and `initial_node_v` are honoured per lane. A single
-/// lane runs the scalar kernel on `ws`, i.e. it is solve_op() outright.
+/// Lanes that exhaust the cold stage run the homotopy chain (gmin stepping,
+/// then source stepping) one at a time, as one-lane passes. Per-lane
+/// results, convergence outcomes and Newton iteration counts are identical
+/// to a one-lane call per lane with `options[lane]`, whatever the other
+/// lanes. `options[lane].workspace` is ignored (the shared `ws` is used);
+/// `warm_start` and `initial_node_v` are honoured per lane.
 std::vector<util::Expected<OpPoint>> solve_op_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<DcOptions>& options, SimWorkspace& ws);

@@ -6,12 +6,11 @@
 // evaluation trivially thread-safe — multiple RL environments can evaluate
 // copies of the same topology concurrently.
 //
-// Stamps write through MnaSink, which targets one of three backends:
-//  * a dense matrix            — the legacy/reference kernel,
-//  * a frozen sparse pattern   — slot writes into a flat value array, each
-//                                slot read from the pattern's n x n slot
-//                                table (the fast kernel; see
-//                                spice/workspace.hpp),
+// Stamps write through MnaSink, which targets one of two backends:
+//  * a frozen sparse pattern   — slot writes into one lane's column of a
+//                                lane-interleaved value array, each slot
+//                                read from the pattern's n x n slot table
+//                                (see spice/workspace.hpp),
 //  * a PatternBuilder          — the discovery pass that freezes a circuit
 //                                topology's structural pattern once.
 // Devices whose footprint depends on the operating point (the MOSFET's
@@ -35,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 
 namespace autockt::spice {
@@ -43,16 +41,33 @@ namespace autockt::spice {
 using NodeId = std::size_t;  // 0 == ground
 inline constexpr NodeId kGround = 0;
 
-/// Polymorphic (but branch-cheap, non-virtual) target for matrix stamps.
+/// One lane's column of a lane-interleaved array: element i of the lane is
+/// at base[i * stride]. A plain vector is the one-lane column (stride 1).
+template <typename T>
+class LaneColumn {
+ public:
+  LaneColumn(T* base, std::size_t stride) : base_(base), stride_(stride) {}
+  LaneColumn(std::vector<T>& v)  // NOLINT(runtime/explicit)
+      : base_(v.data()), stride_(1) {}
+
+  T& operator[](std::size_t i) const { return base_[i * stride_]; }
+
+ private:
+  T* base_;
+  std::size_t stride_;
+};
+
+/// Branch-cheap, non-virtual target for matrix stamps.
 class MnaSink {
  public:
   MnaSink() = default;
-  /// Dense reference backend (implicit: keeps `Stamp{matrix, b, v}` terse).
-  MnaSink(linalg::RealMatrix& dense) : dense_(&dense) {}  // NOLINT(runtime/explicit)
-  /// Slot writes into `values`: `slots` is the n x n slot table of the
-  /// pattern the values are aligned with (SparsePattern::slot_table()).
-  MnaSink(const int* slots, std::size_t n, double* values)
-      : slots_(slots), n_(n), values_(values) {}
+  /// Slot writes into one lane's column of `values`: `slots` is the n x n
+  /// slot table of the pattern the values are aligned with
+  /// (SparsePattern::slot_table()), and slot s of this lane is at
+  /// values[s * stride].
+  MnaSink(const int* slots, std::size_t n, double* values,
+          std::size_t stride = 1)
+      : slots_(slots), n_(n), values_(values), stride_(stride) {}
   /// Structural discovery: record positions, ignore values.
   explicit MnaSink(linalg::PatternBuilder& builder) : builder_(&builder) {}
 
@@ -62,26 +77,24 @@ class MnaSink {
       const int s = slots_[row * n_ + col];
       assert(s >= 0 && "stamp outside the discovered pattern");
       if (s < 0) return;  // release builds: drop rather than corrupt memory
-      values_[s] += v;
-    } else if (dense_ != nullptr) {
-      (*dense_)(row, col) += v;
+      values_[static_cast<std::size_t>(s) * stride_] += v;
     } else if (builder_ != nullptr) {
       builder_->add(row, col);
     }
   }
 
  private:
-  linalg::RealMatrix* dense_ = nullptr;
   const int* slots_ = nullptr;
   std::size_t n_ = 0;
   double* values_ = nullptr;
+  std::size_t stride_ = 1;
   linalg::PatternBuilder* builder_ = nullptr;
 };
 
 /// Real-valued (DC / transient Newton iteration) stamping context.
 struct RealStamp {
   MnaSink a;
-  std::vector<double>& b;
+  LaneColumn<double> b;                 // right-hand side
   const std::vector<double>& voltages;  // candidate solution, indexed by node
   double time = 0.0;                    // transient time; 0 for DC
   bool transient = false;               // sources: use waveform(t) vs dc()
@@ -129,7 +142,7 @@ struct RealStamp {
 struct ComplexStamp {
   MnaSink g;  // conductances, transconductances, source/probe branch rows
   MnaSink c;  // capacitances (scaled by j*omega at solve time)
-  std::vector<std::complex<double>>& b;    // AC stimulus (freq-independent)
+  LaneColumn<std::complex<double>> b;      // AC stimulus (freq-independent)
   const std::vector<double>& op_voltages;  // converged DC solution by node
   std::size_t num_nodes = 0;
 

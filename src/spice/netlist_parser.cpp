@@ -231,7 +231,7 @@ util::Expected<double> parse_spice_number(const std::string& token) {
   char* end = nullptr;
   const double base = std::strtod(t.c_str(), &end);
   if (end == t.c_str()) {
-    return util::Error{"bad number '" + token + "'", 11};
+    return util::Error{"'" + token + "' is not a number", 11};
   }
   const std::string suffix(end);
   double scale = 1.0;
@@ -256,10 +256,16 @@ util::Expected<double> parse_spice_number(const std::string& token) {
   } else if (suffix == "f") {
     scale = 1e-15;
   } else {
-    return util::Error{"unknown suffix '" + suffix + "' in '" + token + "'",
-                       11};
+    return util::Error{
+        "'" + token + "' has an unknown suffix '" + suffix + "'", 11};
   }
-  return base * scale;
+  // NaN, infinities and overflow (1e400, 1e300t) would reach the
+  // simulator as a NaN stamp.
+  const double value = base * scale;
+  if (!std::isfinite(value)) {
+    return util::Error{"'" + token + "' is not a finite number", 11};
+  }
+  return value;
 }
 
 namespace {
@@ -369,14 +375,16 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
         req.probe = lower(tokens[1]);
         auto f0 = parse_spice_number(tokens[2]);
         auto f1 = parse_spice_number(tokens[3]);
-        if (!f0.ok()) return err(2, f0.error().message);
-        if (!f1.ok()) return err(3, f1.error().message);
+        if (!f0.ok()) return err(2, "f_start " + f0.error().message);
+        if (!f1.ok()) return err(3, "f_stop " + f1.error().message);
         if (auto bad = sweep_error(*f0, *f1)) return *bad;
         req.options.f_start = *f0;
         req.options.f_stop = *f1;
         if (tokens.size() > 4) {
           auto ppd = parse_spice_number(tokens[4]);
-          if (!ppd.ok()) return err(4, ppd.error().message);
+          if (!ppd.ok()) {
+            return err(4, "points per decade " + ppd.error().message);
+          }
           if (!(*ppd >= 1.0 && *ppd <= std::numeric_limits<int>::max() &&
                 std::floor(*ppd) == *ppd)) {
             return err(4, "points per decade '" + tokens[4] +
@@ -393,8 +401,8 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
         req.probe = lower(tokens[1]);
         auto ts = parse_spice_number(tokens[2]);
         auto dt = parse_spice_number(tokens[3]);
-        if (!ts.ok()) return err(2, ts.error().message);
-        if (!dt.ok()) return err(3, dt.error().message);
+        if (!ts.ok()) return err(2, "t_stop " + ts.error().message);
+        if (!dt.ok()) return err(3, "dt " + dt.error().message);
         if (!(std::isfinite(*ts) && *ts > 0.0)) {
           return err(2, "t_stop '" + tokens[2] + "' must be finite and > 0");
         }
@@ -413,8 +421,8 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
         req.probe = lower(tokens[1]);
         auto f0 = parse_spice_number(tokens[2]);
         auto f1 = parse_spice_number(tokens[3]);
-        if (!f0.ok()) return err(2, f0.error().message);
-        if (!f1.ok()) return err(3, f1.error().message);
+        if (!f0.ok()) return err(2, "f_start " + f0.error().message);
+        if (!f1.ok()) return err(3, "f_stop " + f1.error().message);
         if (auto bad = sweep_error(*f0, *f1)) return *bad;
         req.options.f_start = *f0;
         req.options.f_stop = *f1;

@@ -175,7 +175,8 @@ struct NetlistDeck {
 };
 
 /// Parse a numeric literal with optional engineering suffix ("2.2k",
-/// "0.5u", "10meg", "1e-12"). Returns an error naming the bad token.
+/// "0.5u", "10meg", "1e-12"). Returns an error naming the bad token; a
+/// value that is not finite ("nan", "inf", "1e400") is an error too.
 util::Expected<double> parse_spice_number(const std::string& token);
 
 /// Parse a whole deck into its AST without instantiating. Errors carry the

@@ -6,7 +6,7 @@
 #include <optional>
 #include <string>
 
-#include "spice/complex_solver.hpp"
+#include "spice/sweep.hpp"
 #include "spice/units.hpp"
 
 namespace autockt::spice {
@@ -20,106 +20,26 @@ util::Expected<NoiseResult> noise_sweep(const Circuit& circuit,
                                         NodeId probe_m,
                                         const NoiseOptions& options) {
   if (auto bad = detail::sweep_error(options, "noise sweep", 4)) return *bad;
-  const std::size_t n = circuit.num_unknowns();
-  const int total = detail::sweep_points(options.f_start, options.f_stop,
-                                         options.points_per_decade);
-
-  NoiseResult result;
-  result.freq.reserve(static_cast<std::size_t>(total));
-  result.out_psd.reserve(static_cast<std::size_t>(total));
-
-  const double temp_k = 300.0;
-
-  // Adjoint stimulus selecting the probe voltage (frequency-independent).
-  std::vector<std::complex<double>> c(n, {0.0, 0.0});
-  if (probe_p != kGround) c[probe_p - 1] += 1.0;
-  if (probe_m != kGround) c[probe_m - 1] -= 1.0;
-
-  const bool dense = options.kernel == SimKernel::Dense;
-  std::optional<detail::DenseAcAssembly> dense_assembly;
   std::optional<SimWorkspace> scratch;
   SimWorkspace* ws = options.workspace;
-  if (dense) {
-    dense_assembly.emplace(circuit, op.node_v);
-  } else {
-    if (ws != nullptr &&
-        (!ws->compatible(circuit) || !ws->has_complex())) {
-      return util::Error{"noise sweep: workspace does not match the circuit",
-                         4};
-    }
-    if (ws == nullptr) {
-      scratch.emplace(circuit, SimWorkspace::Sides::Complex);
-      ws = &*scratch;
-    }
-    // One stamping pass; every frequency is a numeric-only refactorization.
-    ComplexStamp ctx = ws->begin_complex(op.node_v);
-    circuit.stamp_complex(ctx);
+  if (ws == nullptr) {
+    scratch.emplace(circuit, SimWorkspace::Sides::Complex);
+    ws = &*scratch;
   }
-
-  std::vector<NoiseSource> sources;
-  std::vector<std::complex<double>> xa_dense;
-  for (int i = 0; i < total; ++i) {
-    const double freq =
-        detail::sweep_freq(options.f_start, options.f_stop, i, total);
-    const double omega = 2.0 * kPi * freq;
-
-    const std::vector<std::complex<double>>* xa = nullptr;
-    bool ok = false;
-    if (dense) {
-      ok = dense_assembly->factor(omega);
-      if (ok) {
-        xa_dense = dense_assembly->lu->solve_transposed(c);
-        xa = &xa_dense;
-      }
-    } else {
-      ok = ws->factor_complex(omega);
-      if (ok) xa = &ws->solve_complex_transposed(c);
-    }
-    if (!ok) {
-      return util::Error{"noise matrix singular at f=" + std::to_string(freq),
-                         4};
-    }
-
-    // Adjoint: x_a = Y^-T c; |h|^2-weighted PSD sum over all sources.
-    double psd = 0.0;
-    circuit.collect_noise(op.node_v, freq, temp_k, sources);
-    for (const NoiseSource& src : sources) {
-      std::complex<double> h{0.0, 0.0};
-      if (src.n1 != kGround) h -= (*xa)[src.n1 - 1];
-      if (src.n2 != kGround) h += (*xa)[src.n2 - 1];
-      psd += std::norm(h) * src.psd;
-    }
-    result.freq.push_back(freq);
-    result.out_psd.push_back(psd);
-  }
-
-  // Trapezoidal integration in linear frequency over the log-spaced grid.
-  double acc = 0.0;
-  for (std::size_t i = 0; i + 1 < result.freq.size(); ++i) {
-    acc += 0.5 * (result.out_psd[i] + result.out_psd[i + 1]) *
-           (result.freq[i + 1] - result.freq[i]);
-  }
-  result.total_output_v2 = acc;
-  return result;
+  return std::move(
+      noise_sweep_batch({&circuit}, {&op}, probe_p, probe_m, options, *ws)
+          .front());
 }
 
 std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,
     const NoiseOptions& options, SimWorkspace& ws) {
+  kernel_counters::CallScope counts;
   const std::size_t K = circuits.size();
   std::vector<util::Expected<NoiseResult>> results;
   if (auto bad = detail::sweep_error(options, "noise sweep", 4)) {
     results.assign(K, *bad);
-    return results;
-  }
-  if (K == 1) {
-    // One lane: the scalar sweep on `ws` (see solve_op_batch).
-    NoiseOptions one = options;
-    one.kernel = SimKernel::Sparse;
-    one.workspace = &ws;
-    results.push_back(
-        noise_sweep(*circuits[0], *ops[0], probe_p, probe_m, one));
     return results;
   }
   results.assign(K, NoiseResult{});
@@ -136,7 +56,6 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
   if (probe_p != kGround) c[probe_p - 1] += 1.0;
   if (probe_m != kGround) c[probe_m - 1] -= 1.0;
 
-  ws.ensure_complex_batch(K);
   std::vector<char> live(K, 1);
   std::vector<NoiseResult> lane_results(K);
   for (std::size_t l = 0; l < K; ++l) {
@@ -144,16 +63,20 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
       results[l] = util::Error{
           "noise sweep: workspace does not match the circuit", 4};
       live[l] = 0;
-      continue;
     }
-    ComplexStamp ctx = ws.begin_complex(ops[l]->node_v);
-    circuits[l]->stamp_complex(ctx);
-    ws.commit_complex_batch_lane(l);
-    lane_results[l].freq.reserve(static_cast<std::size_t>(total));
-    lane_results[l].out_psd.reserve(static_cast<std::size_t>(total));
   }
   // No lane fits `ws` (e.g. it has no complex side): nothing to factor.
   if (std::count(live.begin(), live.end(), 1) == 0) return results;
+  // One stamping pass per lane; every frequency is a numeric-only
+  // refactorization.
+  ws.begin_complex(K);
+  for (std::size_t l = 0; l < K; ++l) {
+    if (live[l] == 0) continue;
+    ComplexStamp ctx = ws.stamp_complex(l, ops[l]->node_v);
+    circuits[l]->stamp_complex(ctx);
+    lane_results[l].freq.reserve(static_cast<std::size_t>(total));
+    lane_results[l].out_psd.reserve(static_cast<std::size_t>(total));
+  }
 
   std::vector<NoiseSource> sources;
   std::vector<std::complex<double>> xa;
@@ -161,8 +84,8 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     const double freq =
         detail::sweep_freq(options.f_start, options.f_stop, i, total);
     const double omega = 2.0 * kPi * freq;
-    ws.factor_complex_batch(omega);
-    ws.solve_complex_transposed_batch(c);
+    ws.factor_complex(omega);
+    ws.solve_complex_transposed(c);
     for (std::size_t l = 0; l < K; ++l) {
       if (live[l] == 0) continue;
       if (!ws.complex_lane_solvable(l)) {
@@ -171,6 +94,7 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
         live[l] = 0;
         continue;
       }
+      // Adjoint: x_a = Y^-T c; |h|^2-weighted PSD sum over all sources.
       ws.complex_lane_solution(l, xa);
       double psd = 0.0;
       circuits[l]->collect_noise(ops[l]->node_v, freq, temp_k, sources);
@@ -185,6 +109,7 @@ std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     }
   }
 
+  // Trapezoidal integration in linear frequency over the log-spaced grid.
   for (std::size_t l = 0; l < K; ++l) {
     if (live[l] == 0) continue;
     NoiseResult& r = lane_results[l];

@@ -16,8 +16,7 @@ struct NoiseOptions {
   double f_start = 1e3;
   double f_stop = 1e10;
   int points_per_decade = 5;
-  SimKernel kernel = SimKernel::Sparse;
-  /// Reusable workspace (sparse kernel); temporary per call when null.
+  /// Reusable workspace; temporary per call when null.
   SimWorkspace* workspace = nullptr;
 };
 
@@ -29,7 +28,8 @@ struct NoiseResult {
   double total_output_vrms() const;
 };
 
-/// Output-referred noise at probe_p - probe_m over the sweep band.
+/// Output-referred noise at probe_p - probe_m over the sweep band, a
+/// one-lane noise_sweep_batch().
 util::Expected<NoiseResult> noise_sweep(const Circuit& circuit,
                                         const OpPoint& op, NodeId probe_p,
                                         NodeId probe_m,
@@ -38,9 +38,8 @@ util::Expected<NoiseResult> noise_sweep(const Circuit& circuit,
 /// Batched noise sweeps over K circuits sharing one topology: the adjoint
 /// stimulus is common to all lanes, so every frequency point is one batched
 /// refactorization + one batched transposed solve. Per-lane results are
-/// identical to noise_sweep(). `options.kernel`/`workspace` are ignored
-/// (the shared sparse `ws` is used). A single lane runs the scalar sweep on
-/// `ws`.
+/// identical to noise_sweep(). `options.workspace` is ignored (the shared
+/// `ws` is used).
 std::vector<util::Expected<NoiseResult>> noise_sweep_batch(
     const std::vector<const Circuit*>& circuits,
     const std::vector<const OpPoint*>& ops, NodeId probe_p, NodeId probe_m,

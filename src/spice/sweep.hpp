@@ -1,23 +1,14 @@
 #pragma once
-// Internals shared by the AC and noise engines: the log-spaced sweep grid
-// (one definition, so the two analyses can never desynchronize) and the
-// dense reference assembly — G and C stamped once per operating point (the
-// same restamp-free scheme as the sparse kernel), but every frequency point
-// builds a fresh dense complex matrix and partial-pivot LU; the legacy cost
-// model the parity tests and benchmarks compare the workspace kernel
-// against.
+// Internals shared by the AC and noise engines: the check of their sweep
+// options and the log-spaced sweep grid (one definition, so the two
+// analyses can never desynchronize).
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <limits>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
-#include "spice/circuit.hpp"
 #include "util/expected.hpp"
 #include "util/fmt.hpp"
 
@@ -75,34 +66,5 @@ inline double sweep_freq(double f_start, double f_stop, int i, int total) {
   const double frac = static_cast<double>(i) / static_cast<double>(total - 1);
   return f_start * std::pow(10.0, frac * decades);
 }
-
-struct DenseAcAssembly {
-  linalg::RealMatrix g_mat;
-  linalg::RealMatrix c_mat;
-  std::vector<std::complex<double>> b;
-  linalg::ComplexMatrix y;
-  std::optional<linalg::LuFactorization<std::complex<double>>> lu;
-
-  DenseAcAssembly(const Circuit& circuit, const std::vector<double>& op_v)
-      : g_mat(circuit.num_unknowns(), circuit.num_unknowns()),
-        c_mat(circuit.num_unknowns(), circuit.num_unknowns()),
-        b(circuit.num_unknowns(), {0.0, 0.0}),
-        y(circuit.num_unknowns(), circuit.num_unknowns()) {
-    ComplexStamp ctx{g_mat, c_mat, b, op_v};
-    ctx.num_nodes = circuit.num_nodes();
-    circuit.stamp_complex(ctx);
-  }
-
-  bool factor(double omega) {
-    const std::size_t n = y.rows();
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        y(r, c) = {g_mat(r, c), omega * c_mat(r, c)};
-      }
-    }
-    lu.emplace(y);
-    return lu->ok();
-  }
-};
 
 }  // namespace autockt::spice::detail

@@ -6,7 +6,7 @@
 #include <optional>
 #include <string>
 
-#include "spice/real_solver.hpp"
+#include "spice/newton.hpp"
 
 namespace autockt::spice {
 
@@ -27,9 +27,8 @@ double across(const std::vector<double>& node_v, const CapElement& e) {
   return v1 - v2;
 }
 
-template <typename Driver>
 util::Expected<TranResult> transient_impl(const Circuit& circuit,
-                                          Driver& driver,
+                                          SimWorkspace& ws,
                                           const OpPoint& initial,
                                           const std::vector<NodeId>& probes,
                                           const TranOptions& options) {
@@ -49,8 +48,8 @@ util::Expected<TranResult> transient_impl(const Circuit& circuit,
 
   // Every Newton iteration stamps the companions as they stand. Their
   // conductance slots are part of the workspace's frozen pattern (declared
-  // weak), so the sparse kernel re-uses its symbolic factorization across
-  // every step and iteration.
+  // weak), so the kernel re-uses its symbolic factorization across every
+  // step and iteration.
   auto companions = [&](RealStamp& ctx) {
     for (const CapState& s : caps) {
       ctx.conductance(s.elem.n1, s.elem.n2, s.geq);
@@ -93,20 +92,15 @@ util::Expected<TranResult> transient_impl(const Circuit& circuit,
     for (int iter = 0; iter < options.max_newton; ++iter) {
       kernel_counters::add_newton_iterations(1);
       for (NodeId n = 1; n < n_nodes; ++n) node_v[n] = x[n - 1];
-      if (!driver.solve(circuit, node_v, knobs, companions, x_new)) {
+      if (!detail::solve_one_lane(ws, circuit, node_v, knobs, companions,
+                                  x_new)) {
         return util::Error{"transient matrix singular at t=" +
                                std::to_string(t),
                            3};
       }
 
-      double worst = 0.0;
-      for (std::size_t i = 0; i + 1 < n_nodes; ++i) {
-        const double dv = std::fabs(x_new[i] - x[i]);
-        const double tol =
-            options.v_abstol + options.v_reltol * std::fabs(x_new[i]);
-        worst = std::max(worst, dv - tol);
-      }
-      if (worst <= 0.0) {
+      if (detail::newton_converged(x_new, x, n_nodes - 1, options.v_abstol,
+                                   options.v_reltol)) {
         x = x_new;
         converged = true;
         break;
@@ -152,22 +146,19 @@ util::Expected<TranResult> transient(const Circuit& circuit,
     return util::Error{"transient: needs dt > 0 and a finite t_stop / dt >= 0",
                        3};
   }
-  if (options.kernel == SimKernel::Dense) {
-    detail::DenseRealDriver driver(circuit.num_unknowns());
-    return transient_impl(circuit, driver, initial, probes, options);
+  if (options.workspace != nullptr &&
+      (!options.workspace->compatible(circuit) ||
+       !options.workspace->has_real())) {
+    return util::Error{"transient: workspace does not match the circuit", 3};
   }
-  if (options.workspace != nullptr) {
-    if (!options.workspace->compatible(circuit) ||
-        !options.workspace->has_real()) {
-      return util::Error{"transient: workspace does not match the circuit",
-                         3};
-    }
-    detail::SparseRealDriver driver{*options.workspace};
-    return transient_impl(circuit, driver, initial, probes, options);
+  kernel_counters::CallScope counts;
+  std::optional<SimWorkspace> scratch;
+  SimWorkspace* ws = options.workspace;
+  if (ws == nullptr) {
+    scratch.emplace(circuit, SimWorkspace::Sides::Real);
+    ws = &*scratch;
   }
-  SimWorkspace scratch(circuit, SimWorkspace::Sides::Real);
-  detail::SparseRealDriver driver{scratch};
-  return transient_impl(circuit, driver, initial, probes, options);
+  return transient_impl(circuit, *ws, initial, probes, options);
 }
 
 }  // namespace autockt::spice

@@ -19,8 +19,8 @@ struct TranOptions {
   double v_abstol = 1e-7;
   double v_reltol = 1e-6;
   double max_step = 0.5;  // Newton damping per iteration (V)
-  SimKernel kernel = SimKernel::Sparse;
-  /// Reusable workspace (sparse kernel); temporary per call when null.
+  /// Reusable workspace; temporary per call when null. Each Newton
+  /// iteration is a one-lane pass on it.
   SimWorkspace* workspace = nullptr;
 };
 

@@ -8,19 +8,30 @@
 //    n x n slot table so a stamp finds its value slot with one load;
 //  * the symbolic sparse-LU factorizations (Markowitz pivot order + fill
 //    pattern + compiled elimination program), computed ONCE per topology;
-//  * preallocated value arrays, right-hand sides and solution buffers, so a
+//  * the one numeric kernel (linalg::SparseLuNumericBatch) per side and its
+//    lane-interleaved value arrays, right-hand sides and solutions, so a
 //    steady-state Newton iteration / AC frequency point performs zero heap
 //    allocation.
+//
+// Every analysis runs K designs ("lanes") of one topology per kernel pass;
+// a single design is a one-lane pass. A pass is: begin_*(K) zeroes every
+// lane's values and right-hand side, stamp_*(lane, ...) returns the context
+// that stamps that lane straight into its own column (slot s of lane l at
+// [s*K + l]; K = 1 is the plain scalar layout), factor_*() refactors all
+// lanes, and solve_*() solves them. The per-pass kernel counts are tallied
+// on the thread and flushed by a kernel_counters::CallScope, which every
+// analysis entry point holds; code driving a workspace directly holds one
+// too.
 //
 // The sizing problems evaluate thousands of near-identical circuits (one
 // per grid point the RL agent visits); the workspace registry keeps one
 // workspace per (thread, topology key), so the symbolic work amortizes to
 // nothing and every evaluation runs numeric-only refactorizations.
 //
-// Determinism: pivot orders are purely structural (value-free) and the
-// dense partial-pivot fallback on a failed scale-aware pivot check depends
-// only on the matrix values — results never depend on which design point a
-// thread happened to see first.
+// Determinism: pivot orders are purely structural (value-free), and a lane
+// that fails the scale-aware pivot check is redone by dense partial-pivot
+// LU on that lane's values alone — results never depend on which design
+// point a thread happened to see first, nor on the other lanes of a pass.
 
 #include <complex>
 #include <cstddef>
@@ -36,28 +47,24 @@
 
 namespace autockt::spice {
 
-/// Linear-algebra kernel selection for the analyses. Sparse is the
-/// production path; Dense is the legacy allocate-and-pivot reference kept
-/// as the oracle of the dense-vs-sparse parity tests.
-enum class SimKernel { Sparse, Dense };
-
 /// Snapshot of the process-wide simulation-kernel counters. Mirrored into
 /// eval::EvalStats by SizingProblem::eval_stats() so training/deployment
 /// stat dumps report kernel activity alongside simulator traffic. Each
 /// simulating thread counts into a cache-line-aligned block of its own
 /// (registered on its first count, folded into a retired total when the
 /// thread exits); a snapshot sums the blocks, so no line written per Newton
-/// iteration is shared between threads.
+/// iteration is shared between threads. The per-iteration counts (Newton
+/// iterations, refactorizations, passes) are tallied in plain thread-local
+/// memory and added to the block once per analysis call, when the call
+/// returns, so a snapshot sees every finished call's counts.
 struct KernelStats {
-  long newton_iterations = 0;       // linear solves driven by Newton loops
+  long newton_iterations = 0;       // lane Newton iterations (linear solves)
   long symbolic_factorizations = 0; // once per (thread, topology) + repivots
-  long numeric_factorizations = 0;  // pattern-reusing refactorizations
-  long dense_fallbacks = 0;         // scale-aware pivot check failures
+  long numeric_factorizations = 0;  // lane refactorizations (K per pass)
+  long dense_fallbacks = 0;         // lanes that failed the pivot check
   long warm_start_attempts = 0;     // DC solves offered a previous op point
   long warm_start_hits = 0;         // ... that converged from it directly
-  long batch_refactorizations = 0;  // batched SoA refactorization passes
-  long batch_lanes = 0;             // lanes factored across batched passes
-  long batch_lane_fallbacks = 0;    // single lanes that went dense in a batch
+  long batch_refactorizations = 0;  // kernel passes, one-lane ones included
 };
 
 /// Sum of every live thread's block and the retired total.
@@ -69,7 +76,22 @@ namespace kernel_counters {
 void add_newton_iterations(long n);
 void add_warm_start_attempt();
 void add_warm_start_hit();
+/// Held by every analysis entry point: on destruction, adds the counts this
+/// thread tallied since the last flush to its block.
+struct CallScope {
+  CallScope() = default;
+  CallScope(const CallScope&) = delete;
+  CallScope& operator=(const CallScope&) = delete;
+  ~CallScope();
+};
 }  // namespace kernel_counters
+
+namespace detail {
+/// For the dense-vs-sparse parity tests: while on, every factorization of
+/// every workspace skips the sparse kernel and takes the per-lane dense
+/// partial-pivot fallback. Off by default.
+void force_dense_fallback(bool on);
+}  // namespace detail
 
 class SimWorkspace {
  public:
@@ -91,65 +113,39 @@ class SimWorkspace {
   std::size_t num_unknowns() const { return n_; }
 
   // ---- real side (DC and transient Newton iterations) ---------------------
-  /// Zero the value array and RHS and return a stamping context writing
-  /// through the frozen pattern. The caller stamps the circuit (plus any
-  /// companion terms), then factors and solves.
-  RealStamp begin_real(const std::vector<double>& node_v);
-  /// Numeric-only refactorization; falls back to dense partial-pivot LU
-  /// when the fixed pivot order fails its scale-aware check. False means
-  /// the matrix is singular under both kernels.
+  /// Size the real side to `lanes` lanes (no reallocation when it shrinks)
+  /// and zero every lane's values and right-hand side.
+  void begin_real(std::size_t lanes);
+  /// The context that stamps lane `lane` straight into its own column. The
+  /// caller stamps the circuit (plus any companion terms) through it.
+  RealStamp stamp_real(std::size_t lane, const std::vector<double>& node_v);
+  /// Numeric-only refactorization of every lane; a lane failing the
+  /// scale-aware pivot check is redone by dense partial-pivot LU on its own
+  /// values. True when every lane has a usable factorization.
   bool factor_real();
-  /// Solve with the stamped RHS into the workspace solution buffer.
-  const std::vector<double>& solve_real();
-
-  // ---- complex side (AC and noise sweeps) ---------------------------------
-  /// Zero G, C and the AC stimulus RHS; stamp once per operating point.
-  ComplexStamp begin_complex(const std::vector<double>& op_voltages);
-  /// Form Y(omega) = G + j*omega*C over the union pattern and refactor —
-  /// no restamp, no reallocation. False means singular.
-  bool factor_complex(double omega);
-  /// Solve Y x = b_ac (the stamped stimulus).
-  const std::vector<std::complex<double>>& solve_complex();
-  /// Adjoint solve Y^T x = rhs (interreciprocal noise analysis).
-  const std::vector<std::complex<double>>& solve_complex_transposed(
-      const std::vector<std::complex<double>>& rhs);
-
-  // ---- batched lanes (struct-of-arrays, K designs per kernel pass) --------
-  // Staging protocol: ensure_*_batch(K) sizes the lane buffers, then for
-  // each lane the caller runs the ordinary scalar staging (begin_real +
-  // stamp) and commit_*_batch_lane(lane) snapshots the scalar value/RHS
-  // arrays into that lane's SoA column. Factor/solve then run all K lanes
-  // per elimination-program pass. Per-lane results are bitwise identical to
-  // the scalar path, including the per-lane dense fallback on a failed
-  // scale-aware pivot check.
-  /// Size (or resize) the real-side batch to `lanes` lanes.
-  void ensure_real_batch(std::size_t lanes);
-  std::size_t real_batch_lanes() const { return batch_lanes_real_; }
-  /// Snapshot the scalar staging arrays (vals + RHS) into lane `lane`.
-  void commit_real_batch_lane(std::size_t lane);
-  /// Batched numeric refactorization of every lane; failed lanes fall back
-  /// to dense partial-pivot LU individually. Returns true when every lane
-  /// has a usable factorization under either kernel.
-  bool factor_real_batch();
   /// Lane factorization usable (sparse or dense fallback succeeded)?
   bool real_lane_solvable(std::size_t lane) const;
-  /// Solve every lane against its committed RHS; layout [i*lanes + lane].
-  const std::vector<double>& solve_real_batch();
-  /// Copy lane `lane` of the batch solution into `out` (resized to n).
+  /// Solve every lane against its stamped right-hand side.
+  void solve_real();
+  /// Copy lane `lane` of the solution into `out` (resized to n).
   void real_lane_solution(std::size_t lane, std::vector<double>& out) const;
 
-  /// Complex-side batch mirror (AC / noise sweeps over K designs).
-  void ensure_complex_batch(std::size_t lanes);
-  std::size_t complex_batch_lanes() const { return batch_lanes_cplx_; }
-  void commit_complex_batch_lane(std::size_t lane);
-  /// Form Y(omega) per lane over the union pattern and batch-refactor.
-  bool factor_complex_batch(double omega);
+  // ---- complex side (AC and noise sweeps) ---------------------------------
+  /// Size the complex side to `lanes` lanes and zero every lane's G, C and
+  /// AC stimulus; each lane stamps once per operating point.
+  void begin_complex(std::size_t lanes);
+  ComplexStamp stamp_complex(std::size_t lane,
+                             const std::vector<double>& op_voltages);
+  /// Form Y(omega) = G + j*omega*C per lane over the union pattern and
+  /// refactor — no restamp, no reallocation. True when every lane has a
+  /// usable factorization.
+  bool factor_complex(double omega);
   bool complex_lane_solvable(std::size_t lane) const;
-  /// Solve every lane against its committed AC stimulus RHS.
-  const std::vector<std::complex<double>>& solve_complex_batch();
-  /// Adjoint solve with one shared stimulus broadcast across all lanes.
-  const std::vector<std::complex<double>>& solve_complex_transposed_batch(
-      const std::vector<std::complex<double>>& rhs);
+  /// Solve every lane against its stamped AC stimulus.
+  void solve_complex();
+  /// Adjoint solve Y^T x = rhs of every lane, with one `rhs` shared by all
+  /// lanes (interreciprocal noise analysis).
+  void solve_complex_transposed(const std::vector<std::complex<double>>& rhs);
   void complex_lane_solution(std::size_t lane,
                              std::vector<std::complex<double>>& out) const;
 
@@ -164,55 +160,39 @@ class SimWorkspace {
   bool real_built_ = false;
   bool cplx_built_ = false;
 
-  // Real side.
+  // Real side. Lane-interleaved storage: slot s of lane l at [s*K + l],
+  // unknown i of lane l at [i*K + l].
   linalg::SparsePattern pattern_real_;
   linalg::SparseLuSymbolic sym_real_;
-  linalg::SparseLuNumeric<double> lu_real_;
-  std::vector<double> vals_real_;
-  std::vector<double> rhs_real_;
-  std::vector<double> x_real_;
-  std::vector<int> real_slot_row_, real_slot_col_;  // dense-fallback scatter
-  linalg::RealMatrix dense_real_;
   std::vector<int> slots_real_;  // n x n: pattern_real_.slot_table()
-  std::optional<linalg::LuFactorization<double>> dense_lu_real_;
-  bool real_sparse_ok_ = false;
-  // Real batch lanes (lane-contiguous SoA: slot s of lane l at [s*K + l]).
-  std::size_t batch_lanes_real_ = 0;
-  linalg::SparseLuNumericBatch<double> lu_real_batch_;
-  std::vector<double> batch_vals_real_;   // [a_slot*K + lane]
-  std::vector<double> batch_rhs_real_;    // [i*K + lane]
-  std::vector<double> batch_x_real_;      // [i*K + lane]
+  std::vector<int> real_slot_row_, real_slot_col_;  // dense-fallback scatter
+  std::size_t lanes_real_ = 0;
+  linalg::SparseLuNumericBatch<double> lu_real_;
+  std::vector<double> vals_real_;  // [a_slot*K + lane]
+  std::vector<double> rhs_real_;   // [i*K + lane]
+  std::vector<double> x_real_;     // [i*K + lane]
   std::vector<unsigned char> real_lane_ok_;        // sparse pivot checks
   std::vector<unsigned char> real_lane_solvable_;  // sparse or dense ok
-  std::vector<std::optional<linalg::LuFactorization<double>>>
-      dense_lu_real_lanes_;
+  linalg::RealMatrix dense_real_;
+  std::vector<std::optional<linalg::LuFactorization<double>>> dense_lu_real_;
 
   // Complex side (one union pattern, separate G and C value arrays).
   linalg::SparsePattern pattern_cplx_;
   linalg::SparseLuSymbolic sym_cplx_;
-  linalg::SparseLuNumeric<std::complex<double>> lu_cplx_;
-  std::vector<double> g_vals_;
-  std::vector<double> c_vals_;
-  std::vector<std::complex<double>> y_vals_;
-  std::vector<std::complex<double>> rhs_cplx_;
-  std::vector<std::complex<double>> x_cplx_;
-  std::vector<int> cplx_slot_row_, cplx_slot_col_;
-  linalg::ComplexMatrix dense_cplx_;
   std::vector<int> slots_cplx_;  // n x n: pattern_cplx_.slot_table()
-  std::optional<linalg::LuFactorization<std::complex<double>>> dense_lu_cplx_;
-  bool cplx_sparse_ok_ = false;
-  // Complex batch lanes.
-  std::size_t batch_lanes_cplx_ = 0;
-  linalg::SparseLuNumericBatch<std::complex<double>> lu_cplx_batch_;
-  std::vector<double> batch_g_vals_;               // [slot*K + lane]
-  std::vector<double> batch_c_vals_;               // [slot*K + lane]
-  std::vector<std::complex<double>> batch_rhs_cplx_;
-  std::vector<std::complex<double>> batch_x_cplx_;
-  std::vector<std::complex<double>> batch_bcast_cplx_;  // broadcast scratch
+  std::vector<int> cplx_slot_row_, cplx_slot_col_;
+  std::size_t lanes_cplx_ = 0;
+  linalg::SparseLuNumericBatch<std::complex<double>> lu_cplx_;
+  std::vector<double> g_vals_;  // [slot*K + lane]
+  std::vector<double> c_vals_;  // [slot*K + lane]
+  std::vector<std::complex<double>> rhs_cplx_;    // [i*K + lane]
+  std::vector<std::complex<double>> x_cplx_;      // [i*K + lane]
+  std::vector<std::complex<double>> bcast_cplx_;  // shared adjoint stimulus
   std::vector<unsigned char> cplx_lane_ok_;
   std::vector<unsigned char> cplx_lane_solvable_;
+  linalg::ComplexMatrix dense_cplx_;
   std::vector<std::optional<linalg::LuFactorization<std::complex<double>>>>
-      dense_lu_cplx_lanes_;
+      dense_lu_cplx_;
 
   std::vector<double> zero_voltages_;  // discovery-pass scratch
 };

@@ -21,11 +21,6 @@ inline constexpr const char* kSimFactorReal = "sim/factor_real";
 inline constexpr const char* kSimSolveReal = "sim/solve_real";
 inline constexpr const char* kSimFactorComplex = "sim/factor_complex";
 inline constexpr const char* kSimSolveComplex = "sim/solve_complex";
-inline constexpr const char* kSimFactorRealBatch = "sim/factor_real_batch";
-inline constexpr const char* kSimSolveRealBatch = "sim/solve_real_batch";
-inline constexpr const char* kSimFactorComplexBatch =
-    "sim/factor_complex_batch";
-inline constexpr const char* kSimSolveComplexBatch = "sim/solve_complex_batch";
 inline constexpr const char* kEnvTick = "env/tick";
 inline constexpr const char* kEnvReset = "env/reset";
 inline constexpr const char* kRlIteration = "rl/iteration";
@@ -47,9 +42,6 @@ inline constexpr const char* kSimNewtonIterations = "sim/newton_iterations";
 inline constexpr const char* kSimWarmStartAttempt = "sim/warm_start_attempt";
 inline constexpr const char* kSimWarmStartHit = "sim/warm_start_hit";
 inline constexpr const char* kSimDenseFallback = "sim/dense_fallback";
-inline constexpr const char* kSimBatchRefactor = "sim/batch_refactor";
-inline constexpr const char* kSimBatchLanes = "sim/batch_lanes";
-inline constexpr const char* kSimBatchLaneFallback = "sim/batch_lane_fallback";
 inline constexpr const char* kEvalDiskHit = "eval/disk_hit";
 inline constexpr const char* kEvalDiskAppend = "eval/disk_append";
 inline constexpr const char* kEvalWorkerPoints = "eval/worker_points";

@@ -25,17 +25,12 @@ const std::vector<NameInfo>& registry() {
        "one FunctionBackend leaf call (a point, or a whole batch as lanes)"},
       {kSimBuildWorkspace, "span",
        "SimWorkspace construction: pattern discovery + symbolic factorization"},
-      {kSimFactorReal, "span", "real-valued numeric LU (re)factorization"},
-      {kSimSolveReal, "span", "real-valued triangular solve"},
-      {kSimFactorComplex, "span", "complex G + jwC numeric LU (re)factorization"},
-      {kSimSolveComplex, "span", "complex triangular solve"},
-      {kSimFactorRealBatch, "span",
-       "real batched numeric LU over all lanes of one SoA pass"},
-      {kSimSolveRealBatch, "span", "real batched triangular solve (all lanes)"},
-      {kSimFactorComplexBatch, "span",
-       "complex batched G + jwC numeric LU over all lanes"},
-      {kSimSolveComplexBatch, "span",
-       "complex batched triangular solve (all lanes)"},
+      {kSimFactorReal, "span",
+       "real-valued numeric LU (re)factorization of every lane of one pass"},
+      {kSimSolveReal, "span", "real-valued triangular solve (every lane)"},
+      {kSimFactorComplex, "span",
+       "complex G + jwC numeric LU (re)factorization of every lane"},
+      {kSimSolveComplex, "span", "complex triangular solve (every lane)"},
       {kEnvTick, "span", "one VectorSizingEnv::step_all lockstep tick"},
       {kEnvReset, "span", "one batched VectorSizingEnv reset"},
       {kRlIteration, "span", "one PPO training iteration (collect + update)"},
@@ -54,8 +49,9 @@ const std::vector<NameInfo>& registry() {
       {kEvalCacheMiss, "counter", "evaluation that had to reach the simulator"},
       {kEvalBatchPoints, "counter",
        "points submitted in one evaluate_batch (value = batch size)"},
-      {kSimRestampReal, "counter", "real MNA restamp (begin_real)"},
-      {kSimRestampComplex, "counter", "complex MNA restamp (begin_complex)"},
+      {kSimRestampReal, "counter", "real MNA restamp of one lane (stamp_real)"},
+      {kSimRestampComplex, "counter",
+       "complex MNA restamp of one lane (stamp_complex)"},
       {kSimNewtonIterations, "counter",
        "Newton iterations completed (value = iterations added)"},
       {kSimWarmStartAttempt, "counter",
@@ -64,12 +60,6 @@ const std::vector<NameInfo>& registry() {
        "warm-started DC solve converged from the hint directly"},
       {kSimDenseFallback, "counter",
        "sparse pivot check failed; dense partial-pivot fallback ran"},
-      {kSimBatchRefactor, "counter",
-       "one batched refactorization pass (all lanes of one matrix)"},
-      {kSimBatchLanes, "counter",
-       "lanes factored by a batched refactorization (value = lane count)"},
-      {kSimBatchLaneFallback, "counter",
-       "single lane of a batched refactorization fell back to dense LU"},
       {kEvalDiskHit, "counter",
        "memo hit served by an entry replayed from the on-disk cache"},
       {kEvalDiskAppend, "counter",

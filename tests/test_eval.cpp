@@ -385,8 +385,6 @@ TEST(EvalStats, FieldsAndSummaryNameEveryPublicField) {
       "warm_start_attempts",
       "warm_start_hits",
       "batch_refactorizations",
-      "batch_lanes",
-      "batch_lane_fallbacks",
       "disk_hits",
       "disk_appends",
       "worker_dispatches",

@@ -1,11 +1,13 @@
-// Batch-vs-scalar parity: the batched numeric kernel and everything built
-// on it (lockstep DC Newton, batched AC/noise sweeps, the lane pipeline of
+// Batch-vs-scalar parity: the one numeric kernel and everything built on
+// it (lockstep DC Newton, batched AC/noise sweeps, the lane pipeline of
 // every circuit and deck, the VectorSizingEnv path) must return results
-// identical to the scalar kernel — batching changes wall-clock, never
-// values. A one-lane batch runs the scalar kernel itself, so every layer
-// above the spice entry points compares K lanes with one-lane calls. These
-// tests pin the serial-exact contract at every layer, including ragged
-// batch sizes and lanes that fail the per-lane pivot check.
+// identical to the scalar elimination — batching changes wall-clock, never
+// values. At the kernel level every lane, one-lane passes included, is
+// compared with the scalar reference kernel kept in
+// tests/scalar_lu_reference.hpp; every layer above the spice entry points
+// compares K lanes with one-lane calls. These tests pin the serial-exact
+// contract at every layer, including ragged batch sizes and lanes that fail
+// the per-lane pivot check.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "pex/pvt.hpp"
+#include "scalar_lu_reference.hpp"
 #include "spice/ac.hpp"
 #include "spice/dc.hpp"
 #include "spice/noise.hpp"
@@ -80,7 +83,7 @@ std::vector<T> random_values(const SparseSystem& sys, int n, Rng& rng) {
 
 }  // namespace
 
-// ---- SparseLuNumericBatch vs SparseLuNumeric: bitwise -----------------------
+// ---- SparseLuNumericBatch vs the scalar reference kernel: bitwise -----------
 
 class BatchLuParity : public ::testing::TestWithParam<int> {};
 
@@ -115,7 +118,7 @@ TEST_P(BatchLuParity, RefactorAndSolvesMatchScalarBitwise) {
   std::vector<unsigned char> lane_ok(lanes, 0);
   batch.refactor(soa_vals.data(), lane_ok.data());
 
-  linalg::SparseLuNumeric<double> scalar(symbolic);
+  linalg::ScalarLuReference<double> scalar(symbolic);
   std::vector<double> x(N), xt(N), bx(N * lanes), bxt(N * lanes);
   batch.solve(soa_rhs.data(), bx.data());
   batch.solve_transposed(soa_rhs.data(), bxt.data());
@@ -137,47 +140,51 @@ INSTANTIATE_TEST_SUITE_P(LaneCounts, BatchLuParity,
                          ::testing::Values(1, 3, 7, 16));
 
 TEST(BatchLuParity, ComplexLanesMatchScalarBitwise) {
+  // One lane included: its split-complex arithmetic must be bitwise the
+  // scalar kernel's std::complex arithmetic.
   using C = std::complex<double>;
   const int n = 11;
-  const std::size_t lanes = 5;
-  Rng rng(9100);
-  SparseSystem sys = make_sparse_system(n, 0.35, rng);
-  linalg::SparseLuSymbolic symbolic(sys.pattern, sys.pattern.weak());
-  ASSERT_TRUE(symbolic.ok());
-  const std::size_t nnz = sys.pattern.nnz();
-  const std::size_t N = static_cast<std::size_t>(n);
+  for (const std::size_t lanes : {1, 2, 5, 16}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    Rng rng(9100);
+    SparseSystem sys = make_sparse_system(n, 0.35, rng);
+    linalg::SparseLuSymbolic symbolic(sys.pattern, sys.pattern.weak());
+    ASSERT_TRUE(symbolic.ok());
+    const std::size_t nnz = sys.pattern.nnz();
+    const std::size_t N = static_cast<std::size_t>(n);
 
-  std::vector<std::vector<C>> lane_vals;
-  std::vector<C> soa_vals(nnz * lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    lane_vals.push_back(random_values<C>(sys, n, rng));
-    for (std::size_t s = 0; s < nnz; ++s) {
-      soa_vals[s * lanes + l] = lane_vals[l][s];
+    std::vector<std::vector<C>> lane_vals;
+    std::vector<C> soa_vals(nnz * lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      lane_vals.push_back(random_values<C>(sys, n, rng));
+      for (std::size_t s = 0; s < nnz; ++s) {
+        soa_vals[s * lanes + l] = lane_vals[l][s];
+      }
     }
-  }
-  std::vector<C> rhs(N), soa_rhs(N * lanes);
-  for (std::size_t i = 0; i < N; ++i) {
-    rhs[i] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    for (std::size_t l = 0; l < lanes; ++l) soa_rhs[i * lanes + l] = rhs[i];
-  }
-
-  linalg::SparseLuNumericBatch<C> batch(symbolic, lanes);
-  std::vector<unsigned char> lane_ok(lanes, 0);
-  batch.refactor(soa_vals.data(), lane_ok.data());
-  std::vector<C> bx(N * lanes), bxt(N * lanes);
-  batch.solve(soa_rhs.data(), bx.data());
-  batch.solve_transposed(soa_rhs.data(), bxt.data());
-
-  linalg::SparseLuNumeric<C> scalar(symbolic);
-  std::vector<C> x(N), xt(N);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    ASSERT_TRUE(scalar.refactor(lane_vals[l].data()));
-    EXPECT_EQ(lane_ok[l], 1);
-    scalar.solve(rhs.data(), x.data());
-    scalar.solve_transposed(rhs.data(), xt.data());
+    std::vector<C> rhs(N), soa_rhs(N * lanes);
     for (std::size_t i = 0; i < N; ++i) {
-      EXPECT_EQ(bx[i * lanes + l], x[i]);
-      EXPECT_EQ(bxt[i * lanes + l], xt[i]);
+      rhs[i] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      for (std::size_t l = 0; l < lanes; ++l) soa_rhs[i * lanes + l] = rhs[i];
+    }
+
+    linalg::SparseLuNumericBatch<C> batch(symbolic, lanes);
+    std::vector<unsigned char> lane_ok(lanes, 0);
+    batch.refactor(soa_vals.data(), lane_ok.data());
+    std::vector<C> bx(N * lanes), bxt(N * lanes);
+    batch.solve(soa_rhs.data(), bx.data());
+    batch.solve_transposed(soa_rhs.data(), bxt.data());
+
+    linalg::ScalarLuReference<C> scalar(symbolic);
+    std::vector<C> x(N), xt(N);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      ASSERT_TRUE(scalar.refactor(lane_vals[l].data()));
+      EXPECT_EQ(lane_ok[l], 1);
+      scalar.solve(rhs.data(), x.data());
+      scalar.solve_transposed(rhs.data(), xt.data());
+      for (std::size_t i = 0; i < N; ++i) {
+        EXPECT_EQ(bx[i * lanes + l], x[i]) << "lane " << l << " row " << i;
+        EXPECT_EQ(bxt[i * lanes + l], xt[i]) << "lane " << l << " row " << i;
+      }
     }
   }
 }
@@ -221,7 +228,7 @@ TEST(BatchLuParity, SingularLaneFailsAloneAndLeavesOthersBitwise) {
 
   std::vector<double> bx(N * lanes);
   batch.solve(soa_rhs.data(), bx.data());
-  linalg::SparseLuNumeric<double> scalar(symbolic);
+  linalg::ScalarLuReference<double> scalar(symbolic);
   std::vector<double> x(N);
   for (const std::size_t l : {std::size_t{0}, std::size_t{2}}) {
     ASSERT_TRUE(scalar.refactor(lane_vals[l].data()));
@@ -233,7 +240,7 @@ TEST(BatchLuParity, SingularLaneFailsAloneAndLeavesOthersBitwise) {
   EXPECT_FALSE(scalar.refactor(lane_vals[1].data()));
 }
 
-// ---- spice-level: one lane IS the scalar kernel -----------------------------
+// ---- spice-level: one design is a one-lane pass of the one kernel ----------
 
 namespace {
 
@@ -252,9 +259,26 @@ void expect_same_error(const util::Error& a, const util::Error& b,
   EXPECT_EQ(a.code, b.code) << what;
 }
 
+/// Kernel counts added since `before` (this thread's calls have returned,
+/// so their tallies are in).
+spice::KernelStats counts_since(const spice::KernelStats& before) {
+  spice::KernelStats d = spice::kernel_stats_snapshot();
+  d.newton_iterations -= before.newton_iterations;
+  d.symbolic_factorizations -= before.symbolic_factorizations;
+  d.numeric_factorizations -= before.numeric_factorizations;
+  d.dense_fallbacks -= before.dense_fallbacks;
+  d.warm_start_attempts -= before.warm_start_attempts;
+  d.warm_start_hits -= before.warm_start_hits;
+  d.batch_refactorizations -= before.batch_refactorizations;
+  return d;
+}
+
 }  // namespace
 
 TEST(OneLaneBatch, DcIsTheScalarSolveBitwise) {
+  // solve_op() is a one-lane solve_op_batch(): each Newton iteration is one
+  // kernel pass of one lane. A two-lane batch of the same design runs the
+  // same passes with two lanes each, and both lanes carry the one-lane bits.
   TiaFixture f;
   spice::DcOptions opt;
   opt.workspace = &f.ws;
@@ -264,19 +288,42 @@ TEST(OneLaneBatch, DcIsTheScalarSolveBitwise) {
   spice::DcOptions warm = opt;
   warm.warm_start = &*scalar;
   for (const spice::DcOptions& o : {opt, warm}) {
-    const spice::KernelStats before = spice::kernel_stats_snapshot();
+    const long warm_attempts = o.warm_start != nullptr ? 1 : 0;
+    spice::KernelStats before = spice::kernel_stats_snapshot();
     const auto one = spice::solve_op_batch({&f.ckt}, {o}, f.ws);
-    EXPECT_EQ(spice::kernel_stats_snapshot().batch_refactorizations,
-              before.batch_refactorizations);
-    const auto ref = spice::solve_op(f.ckt, o);
+    const spice::KernelStats d1 = counts_since(before);
     ASSERT_EQ(one.size(), 1u);
     ASSERT_TRUE(one[0].ok());
+    EXPECT_GT(d1.newton_iterations, 0);
+    EXPECT_EQ(d1.numeric_factorizations, d1.newton_iterations);
+    EXPECT_EQ(d1.batch_refactorizations, d1.newton_iterations);
+    EXPECT_EQ(d1.dense_fallbacks, 0);
+    EXPECT_EQ(d1.warm_start_attempts, warm_attempts);
+    EXPECT_EQ(d1.warm_start_hits, warm_attempts);
+
+    const auto ref = spice::solve_op(f.ckt, o);
+    ASSERT_TRUE(ref.ok());
     EXPECT_EQ(one[0]->node_v, ref->node_v);
     EXPECT_EQ(one[0]->branch_i, ref->branch_i);
+
+    before = spice::kernel_stats_snapshot();
+    const auto two = spice::solve_op_batch({&f.ckt, &f.ckt}, {o, o}, f.ws);
+    const spice::KernelStats d2 = counts_since(before);
+    EXPECT_EQ(d2.newton_iterations, 2 * d1.newton_iterations);
+    EXPECT_EQ(d2.numeric_factorizations, 2 * d1.numeric_factorizations);
+    EXPECT_EQ(d2.batch_refactorizations, d1.batch_refactorizations);
+    for (std::size_t l = 0; l < 2; ++l) {
+      ASSERT_TRUE(two[l].ok()) << "lane " << l;
+      EXPECT_EQ(two[l]->node_v, ref->node_v) << "lane " << l;
+      EXPECT_EQ(two[l]->branch_i, ref->branch_i) << "lane " << l;
+    }
   }
 }
 
 TEST(OneLaneBatch, SweepsAreTheScalarSweepsBitwise) {
+  // ac_sweep() and noise_sweep() are one-lane calls of the batch sweeps:
+  // one kernel pass of one lane per frequency point, no Newton work. Both
+  // lanes of a two-lane sweep carry the one-lane bits.
   TiaFixture f;
   spice::DcOptions dc;
   dc.workspace = &f.ws;
@@ -285,31 +332,57 @@ TEST(OneLaneBatch, SweepsAreTheScalarSweepsBitwise) {
 
   spice::AcOptions ac;
   ac.workspace = &f.ws;
-  const spice::KernelStats before = spice::kernel_stats_snapshot();
+  spice::KernelStats before = spice::kernel_stats_snapshot();
   const auto ac_one =
       spice::ac_sweep_batch({&f.ckt}, {&*op}, f.out, spice::kGround, ac, f.ws);
-  const auto ac_ref = spice::ac_sweep(f.ckt, *op, f.out, spice::kGround, ac);
+  spice::KernelStats d = counts_since(before);
   ASSERT_EQ(ac_one.size(), 1u);
   ASSERT_TRUE(ac_one[0].ok());
+  const long ac_points = static_cast<long>(ac_one[0]->size());
+  EXPECT_EQ(d.batch_refactorizations, ac_points);
+  EXPECT_EQ(d.numeric_factorizations, ac_points);
+  EXPECT_EQ(d.newton_iterations, 0);
+
+  const auto ac_ref = spice::ac_sweep(f.ckt, *op, f.out, spice::kGround, ac);
+  before = spice::kernel_stats_snapshot();
+  const auto ac_two = spice::ac_sweep_batch(
+      {&f.ckt, &f.ckt}, {&*op, &*op}, f.out, spice::kGround, ac, f.ws);
+  d = counts_since(before);
+  EXPECT_EQ(d.batch_refactorizations, ac_points);
+  EXPECT_EQ(d.numeric_factorizations, 2 * ac_points);
+  ASSERT_TRUE(ac_ref.ok());
   ASSERT_EQ(ac_one[0]->size(), ac_ref->size());
-  for (std::size_t i = 0; i < ac_ref->size(); ++i) {
-    EXPECT_EQ((*ac_one[0])[i].freq, (*ac_ref)[i].freq);
-    EXPECT_EQ((*ac_one[0])[i].value, (*ac_ref)[i].value) << "point " << i;
+  for (const auto* sweep : {&*ac_one[0], &*ac_two[0], &*ac_two[1]}) {
+    ASSERT_EQ(sweep->size(), ac_ref->size());
+    for (std::size_t i = 0; i < ac_ref->size(); ++i) {
+      EXPECT_EQ((*sweep)[i].freq, (*ac_ref)[i].freq);
+      EXPECT_EQ((*sweep)[i].value, (*ac_ref)[i].value) << "point " << i;
+    }
   }
 
   spice::NoiseOptions noise;
   noise.workspace = &f.ws;
+  before = spice::kernel_stats_snapshot();
   const auto n_one = spice::noise_sweep_batch({&f.ckt}, {&*op}, f.out,
                                               spice::kGround, noise, f.ws);
-  const auto n_ref =
-      spice::noise_sweep(f.ckt, *op, f.out, spice::kGround, noise);
+  d = counts_since(before);
   ASSERT_EQ(n_one.size(), 1u);
   ASSERT_TRUE(n_one[0].ok());
-  EXPECT_EQ(n_one[0]->freq, n_ref->freq);
-  EXPECT_EQ(n_one[0]->out_psd, n_ref->out_psd);
-  EXPECT_EQ(n_one[0]->total_output_v2, n_ref->total_output_v2);
-  EXPECT_EQ(spice::kernel_stats_snapshot().batch_refactorizations,
-            before.batch_refactorizations);
+  const long noise_points = static_cast<long>(n_one[0]->freq.size());
+  EXPECT_EQ(d.batch_refactorizations, noise_points);
+  EXPECT_EQ(d.numeric_factorizations, noise_points);
+  EXPECT_EQ(d.newton_iterations, 0);
+
+  const auto n_ref =
+      spice::noise_sweep(f.ckt, *op, f.out, spice::kGround, noise);
+  const auto n_two = spice::noise_sweep_batch(
+      {&f.ckt, &f.ckt}, {&*op, &*op}, f.out, spice::kGround, noise, f.ws);
+  ASSERT_TRUE(n_ref.ok());
+  for (const auto* r : {&*n_one[0], &*n_two[0], &*n_two[1]}) {
+    EXPECT_EQ(r->freq, n_ref->freq);
+    EXPECT_EQ(r->out_psd, n_ref->out_psd);
+    EXPECT_EQ(r->total_output_v2, n_ref->total_output_v2);
+  }
 }
 
 TEST(OneLaneBatch, WorkspaceMismatchIsTheScalarError) {
@@ -365,9 +438,10 @@ TEST(OneLaneBatch, WorkspaceMismatchIsTheScalarError) {
   }
 }
 
-// ---- circuit-level: K lanes vs one-lane calls (batch vs scalar kernel) ------
-// A one-lane call runs the scalar kernels (above), so comparing every lane
-// of a ragged batch with its own one-lane call pins batch == scalar.
+// ---- circuit-level: K lanes vs one-lane calls -------------------------------
+// A one-lane pass runs the kernel's compile-time one-lane copy, and every
+// lane count is bitwise the scalar reference (above), so comparing every
+// lane of a ragged batch with its own one-lane call pins batch == scalar.
 
 namespace {
 

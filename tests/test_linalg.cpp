@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -289,63 +290,137 @@ TEST(SparsePattern, SlotTableMatchesSlotLookup) {
   }
 }
 
+// The sparse LU tests run the production kernel, SparseLuNumericBatch, at
+// one lane (its compile-time copy) and at a ragged lane count; every lane
+// must factor and solve its own values.
+
+namespace {
+
+const std::vector<std::size_t> kLaneCounts = {1, 3};
+
+/// Per-lane outcome of one kernel pass.
+template <typename T>
+struct LanePass {
+  std::vector<unsigned char> ok;
+  std::vector<std::vector<T>> x;   // A x = b
+  std::vector<std::vector<T>> xt;  // A^T x = b
+};
+
+/// Interleave each lane's values and right-hand side into the kernel's
+/// [index*K + lane] layout, refactor `lu` (sized for vals.size() lanes),
+/// and solve both ways.
+template <typename T>
+LanePass<T> run_pass(SparseLuNumericBatch<T>& lu,
+                     const std::vector<std::vector<T>>& vals,
+                     const std::vector<std::vector<T>>& rhs) {
+  const std::size_t K = vals.size();
+  const std::size_t nnz = vals[0].size();
+  const std::size_t n = rhs[0].size();
+  std::vector<T> soa(nnz * K), soa_b(n * K), x(n * K), xt(n * K);
+  for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t s = 0; s < nnz; ++s) soa[s * K + l] = vals[l][s];
+    for (std::size_t i = 0; i < n; ++i) soa_b[i * K + l] = rhs[l][i];
+  }
+  LanePass<T> out;
+  out.ok.assign(K, 2);
+  lu.refactor(soa.data(), out.ok.data());
+  lu.solve(soa_b.data(), x.data());
+  lu.solve_transposed(soa_b.data(), xt.data());
+  out.x.assign(K, std::vector<T>(n));
+  out.xt.assign(K, std::vector<T>(n));
+  for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out.x[l][i] = x[i * K + l];
+      out.xt[l][i] = xt[i * K + l];
+    }
+  }
+  return out;
+}
+
+template <typename T>
+T random_entry(Rng& rng) {
+  if constexpr (std::is_same_v<T, std::complex<double>>) {
+    return {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  } else {
+    return rng.uniform(-2.0, 2.0);
+  }
+}
+
+/// `reps` random systems of `n` unknowns, solved at every lane count: the
+/// same symbolic analysis and kernel serve every pass (the refactor path),
+/// a K-lane pass takes K consecutive systems (wrapping around), and every
+/// lane solves its system to a tight residual both ways, bitwise as the
+/// one-lane pass did.
+template <typename T>
+void expect_lanes_solve_random_systems(int n, double density,
+                                       std::uint64_t seed, int reps) {
+  Rng rng(seed);
+  SparseSystem sys = make_sparse_system(n, density, rng);
+  SparseLuSymbolic symbolic(sys.pattern, sys.pattern.weak());
+  ASSERT_TRUE(symbolic.ok());
+  const auto count = static_cast<std::size_t>(reps);
+  std::vector<std::vector<T>> vals, rhs;
+  for (std::size_t r = 0; r < count; ++r) {
+    vals.push_back(random_values<T>(sys, n, rng));
+    rhs.emplace_back(static_cast<std::size_t>(n));
+    for (auto& v : rhs.back()) v = random_entry<T>(rng);
+  }
+  std::vector<std::vector<T>> x1(count), xt1(count);  // one-lane answers
+  for (const std::size_t K : kLaneCounts) {
+    SCOPED_TRACE("lanes " + std::to_string(K));
+    SparseLuNumericBatch<T> lu(symbolic, K);
+    for (std::size_t first = 0; first < count; first += K) {
+      std::vector<std::vector<T>> pass_vals, pass_rhs;
+      for (std::size_t l = 0; l < K; ++l) {
+        pass_vals.push_back(vals[(first + l) % count]);
+        pass_rhs.push_back(rhs[(first + l) % count]);
+      }
+      const LanePass<T> pass = run_pass(lu, pass_vals, pass_rhs);
+      for (std::size_t l = 0; l < K; ++l) {
+        const std::size_t r = (first + l) % count;
+        ASSERT_EQ(pass.ok[l], 1) << "system " << r;
+        const auto dense = to_dense<T>(sys, vals[r], n);
+        // The pivot order is purely structural (no numerical pivoting), so
+        // element growth is a little above the partial-pivot dense LU;
+        // 1e-7 on these O(n)-normed systems still catches any slot/program
+        // bug cold.
+        EXPECT_LT(residual_norm(dense, pass.x[l], rhs[r]), 1e-7);
+        EXPECT_LT(residual_norm(dense.transposed(), pass.xt[l], rhs[r]), 1e-7);
+        if (K == 1) {
+          x1[r] = pass.x[l];
+          xt1[r] = pass.xt[l];
+        } else {
+          EXPECT_EQ(pass.x[l], x1[r]) << "system " << r;
+          EXPECT_EQ(pass.xt[l], xt1[r]) << "system " << r;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 class SparseLuProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SparseLuProperty, RefactorAndSolveMatchDenseReference) {
   const int n = GetParam();
-  Rng rng(4000 + static_cast<std::uint64_t>(n));
-  SparseSystem sys = make_sparse_system(n, 0.25, rng);
-  SparseLuSymbolic symbolic(sys.pattern, sys.pattern.weak());
-  ASSERT_TRUE(symbolic.ok());
-  SparseLuNumeric<double> lu(symbolic);
-
-  // The same symbolic analysis serves many value sets: the refactor path.
-  for (int rep = 0; rep < 8; ++rep) {
-    const auto vals = random_values<double>(sys, n, rng);
-    ASSERT_TRUE(lu.refactor(vals.data()));
-    std::vector<double> b(static_cast<std::size_t>(n));
-    for (auto& v : b) v = rng.uniform(-2.0, 2.0);
-    std::vector<double> x(static_cast<std::size_t>(n));
-    lu.solve(b.data(), x.data());
-    const auto dense = to_dense<double>(sys, vals, n);
-    // The pivot order is purely structural (no numerical pivoting), so
-    // element growth is a little above the partial-pivot dense LU; 1e-7 on
-    // these O(n)-normed systems still catches any slot/program bug cold.
-    EXPECT_LT(residual_norm(dense, x, b), 1e-7);
-
-    lu.solve_transposed(b.data(), x.data());
-    EXPECT_LT(residual_norm(dense.transposed(), x, b), 1e-7);
-  }
+  expect_lanes_solve_random_systems<double>(
+      n, 0.25, 4000 + static_cast<std::uint64_t>(n), 8);
 }
 
 TEST_P(SparseLuProperty, ComplexRefactorAndSolve) {
-  using C = std::complex<double>;
   const int n = GetParam();
-  Rng rng(5000 + static_cast<std::uint64_t>(n));
-  SparseSystem sys = make_sparse_system(n, 0.3, rng);
-  SparseLuSymbolic symbolic(sys.pattern, sys.pattern.weak());
-  ASSERT_TRUE(symbolic.ok());
-  SparseLuNumeric<C> lu(symbolic);
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto vals = random_values<C>(sys, n, rng);
-    ASSERT_TRUE(lu.refactor(vals.data()));
-    std::vector<C> b(static_cast<std::size_t>(n));
-    for (auto& v : b) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    std::vector<C> x(static_cast<std::size_t>(n));
-    lu.solve(b.data(), x.data());
-    const auto dense = to_dense<C>(sys, vals, n);
-    EXPECT_LT(residual_norm(dense, x, b), 1e-7);
-    lu.solve_transposed(b.data(), x.data());
-    EXPECT_LT(residual_norm(dense.transposed(), x, b), 1e-7);
-  }
+  expect_lanes_solve_random_systems<std::complex<double>>(
+      n, 0.3, 5000 + static_cast<std::uint64_t>(n), 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseLuProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 TEST(SparseLu, SingularValuesFailTheScaleAwarePivotCheck) {
-  // Structurally fine, numerically rank-1: refactor must refuse (the
-  // workspace then falls back to the dense kernel, which also refuses).
+  // Structurally fine, numerically rank-1: refactor must refuse that lane
+  // (the workspace then falls back to the dense kernel, which also
+  // refuses) and leave a regular lane beside it usable.
   PatternBuilder b(2);
   b.add(0, 0);
   b.add(0, 1);
@@ -354,13 +429,32 @@ TEST(SparseLu, SingularValuesFailTheScaleAwarePivotCheck) {
   SparsePattern p(std::move(b));
   SparseLuSymbolic symbolic(p, p.weak());
   ASSERT_TRUE(symbolic.ok());
-  SparseLuNumeric<double> lu(symbolic);
-  std::vector<double> vals(4, 0.0);
-  vals[static_cast<std::size_t>(p.slot(0, 0))] = 1.0;
-  vals[static_cast<std::size_t>(p.slot(0, 1))] = 2.0;
-  vals[static_cast<std::size_t>(p.slot(1, 0))] = 2.0;
-  vals[static_cast<std::size_t>(p.slot(1, 1))] = 4.0;
-  EXPECT_FALSE(lu.refactor(vals.data()));
+  const auto values = [&](double a, double b01, double b10, double d) {
+    std::vector<double> vals(4, 0.0);
+    vals[static_cast<std::size_t>(p.slot(0, 0))] = a;
+    vals[static_cast<std::size_t>(p.slot(0, 1))] = b01;
+    vals[static_cast<std::size_t>(p.slot(1, 0))] = b10;
+    vals[static_cast<std::size_t>(p.slot(1, 1))] = d;
+    return vals;
+  };
+  const std::vector<double> singular = values(1.0, 2.0, 2.0, 4.0);
+  const std::vector<double> regular = values(1.0, 2.0, 3.0, 4.0);
+  for (const std::size_t K : kLaneCounts) {
+    SCOPED_TRACE("lanes " + std::to_string(K));
+    std::vector<std::vector<double>> vals(K, singular);
+    if (K > 1) vals[1] = regular;
+    SparseLuNumericBatch<double> lu(symbolic, K);
+    const LanePass<double> pass =
+        run_pass(lu, vals, std::vector<std::vector<double>>(K, {1.0, 1.0}));
+    for (std::size_t l = 0; l < K; ++l) {
+      EXPECT_EQ(pass.ok[l], l == 1 ? 1 : 0) << "lane " << l;
+    }
+    if (K > 1) {
+      // [[1 2] [3 4]] x = [1 1]: x = (-1, 1).
+      EXPECT_NEAR(pass.x[1][0], -1.0, 1e-12);
+      EXPECT_NEAR(pass.x[1][1], 1.0, 1e-12);
+    }
+  }
 }
 
 TEST(SparseLu, MnaStyleZeroDiagonalPivotsViaPermutation) {
@@ -375,15 +469,25 @@ TEST(SparseLu, MnaStyleZeroDiagonalPivotsViaPermutation) {
   SparsePattern p(std::move(b));
   SparseLuSymbolic symbolic(p, p.weak());
   ASSERT_TRUE(symbolic.ok());
-  SparseLuNumeric<double> lu(symbolic);
   std::vector<double> vals(3, 0.0);
   vals[static_cast<std::size_t>(p.slot(0, 0))] = 1e-3;
   vals[static_cast<std::size_t>(p.slot(0, 1))] = 1.0;
   vals[static_cast<std::size_t>(p.slot(1, 0))] = 1.0;
-  ASSERT_TRUE(lu.refactor(vals.data()));
-  std::vector<double> rhs = {0.0, 5.0};
-  std::vector<double> x(2);
-  lu.solve(rhs.data(), x.data());
-  EXPECT_NEAR(x[0], 5.0, 1e-12);        // v = V
-  EXPECT_NEAR(x[1], -5e-3, 1e-15);      // i = -g*V
+  for (const std::size_t K : kLaneCounts) {
+    SCOPED_TRACE("lanes " + std::to_string(K));
+    // Lane l drives V = 5 (l + 1).
+    std::vector<std::vector<double>> rhs;
+    for (std::size_t l = 0; l < K; ++l) {
+      rhs.push_back({0.0, 5.0 * static_cast<double>(l + 1)});
+    }
+    SparseLuNumericBatch<double> lu(symbolic, K);
+    const LanePass<double> pass =
+        run_pass(lu, std::vector<std::vector<double>>(K, vals), rhs);
+    for (std::size_t l = 0; l < K; ++l) {
+      const double v = rhs[l][1];
+      ASSERT_EQ(pass.ok[l], 1) << "lane " << l;
+      EXPECT_NEAR(pass.x[l][0], v, 1e-12);            // v = V
+      EXPECT_NEAR(pass.x[l][1], -1e-3 * v, 1e-15);    // i = -g*V
+    }
+  }
 }

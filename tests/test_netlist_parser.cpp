@@ -47,6 +47,41 @@ TEST(SpiceNumber, RejectsGarbage) {
   EXPECT_FALSE(parse_spice_number("2kk").ok());
 }
 
+TEST(SpiceNumber, RejectsNonFiniteValues) {
+  // NaN, infinities and values that overflow, with or without a suffix.
+  for (const char* token : {"nan", "NaN", "inf", "-inf", "infinity", "1e400",
+                            "-1e400", "1e300t"}) {
+    const auto v = parse_spice_number(token);
+    ASSERT_FALSE(v.ok()) << token;
+    EXPECT_NE(v.error().message.find(std::string("'") + token + "'"),
+              std::string::npos)
+        << v.error().message;
+  }
+  // The largest finite values still parse, bit for bit.
+  EXPECT_EQ(*parse_spice_number("1.7976931348623157e308"),
+            1.7976931348623157e308);
+  EXPECT_EQ(*parse_spice_number("1e296t"), 1e296 * 1e12);
+}
+
+TEST(NetlistParser, NonFiniteElementValuesFailWithLineAndColumn) {
+  // Both once parsed, and the DC solve then reported v(a) = nan or inf as
+  // a converged operating point.
+  for (const char* value : {"nan", "1e400"}) {
+    const auto parsed = parse_netlist(std::string("V1 a 0 ") + value +
+                                      "\nR1 a 0 1k\n.end\n");
+    ASSERT_FALSE(parsed.ok()) << value;
+    const std::string& msg = parsed.error().message;
+    EXPECT_NE(msg.find("line 1, col 8"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::string("'") + value + "'"), std::string::npos)
+        << msg;
+    EXPECT_EQ(parsed.error().line, 1u);
+  }
+  const auto r = parse_netlist("V1 a 0 1\nR1 a 0 nan\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("line 2, col 8"), std::string::npos)
+      << r.error().message;
+}
+
 // ---------------------------------------------------------------- decks
 
 TEST(NetlistParser, ResistorDividerSolves) {

@@ -1,7 +1,9 @@
 // Sparse simulation kernel: dense-vs-sparse parity across every analysis on
 // all four benchmark circuits (TIA, two-stage op-amp, negative-gm OTA, and
-// its PEX variant), warm-start determinism against the cold-start path, and
-// the kernel counters surfaced through EvalStats.
+// its PEX variant) — the dense side is the workspace's own per-solve dense
+// partial-pivot fallback, forced for every factorization — warm-start
+// determinism against the cold-start path, and the kernel counters surfaced
+// through EvalStats.
 
 #include <gtest/gtest.h>
 
@@ -29,11 +31,22 @@
 #include "util/rng.hpp"
 
 using namespace autockt;
-using spice::SimKernel;
 
 namespace {
 
 constexpr double kParityRelTol = 1e-9;
+
+/// `run()` with every factorization forced onto the dense fallback. Checks
+/// that the dense kernel really ran.
+template <typename Run>
+auto on_dense_fallback(Run run) {
+  const long before = spice::kernel_stats_snapshot().dense_fallbacks;
+  spice::detail::force_dense_fallback(true);
+  auto result = run();
+  spice::detail::force_dense_fallback(false);
+  EXPECT_GT(spice::kernel_stats_snapshot().dense_fallbacks, before);
+  return result;
+}
 
 /// Normwise relative difference: max |a-b| over max magnitude. Guards the
 /// all-zero case by returning the absolute difference.
@@ -157,13 +170,10 @@ TEST(SimKernelParity, DcOperatingPoint) {
   for (const CircuitCase& c : benchmark_circuits()) {
     SCOPED_TRACE(c.name);
     spice::Circuit ckt = c.build();
-    spice::DcOptions dense_opt = c.dc_options(ckt);
-    dense_opt.kernel = SimKernel::Dense;
-    spice::DcOptions sparse_opt = c.dc_options(ckt);
-    sparse_opt.kernel = SimKernel::Sparse;
+    const spice::DcOptions opt = c.dc_options(ckt);
 
-    auto dense = spice::solve_op(ckt, dense_opt);
-    auto sparse = spice::solve_op(ckt, sparse_opt);
+    auto dense = on_dense_fallback([&] { return spice::solve_op(ckt, opt); });
+    auto sparse = spice::solve_op(ckt, opt);
     ASSERT_TRUE(dense.ok());
     ASSERT_TRUE(sparse.ok());
     EXPECT_LT(rel_diff(dense->node_v, sparse->node_v), kParityRelTol);
@@ -178,13 +188,10 @@ TEST(SimKernelParity, AcSweep) {
     auto op = spice::solve_op(ckt, c.dc_options(ckt));
     ASSERT_TRUE(op.ok());
 
-    spice::AcOptions dense_opt;
-    dense_opt.kernel = SimKernel::Dense;
-    spice::AcOptions sparse_opt;
-    sparse_opt.kernel = SimKernel::Sparse;
     const spice::NodeId probe = ckt.node(c.probe);
-    auto dense = spice::ac_sweep(ckt, *op, probe, spice::kGround, dense_opt);
-    auto sparse = spice::ac_sweep(ckt, *op, probe, spice::kGround, sparse_opt);
+    auto dense = on_dense_fallback(
+        [&] { return spice::ac_sweep(ckt, *op, probe, spice::kGround); });
+    auto sparse = spice::ac_sweep(ckt, *op, probe, spice::kGround);
     ASSERT_TRUE(dense.ok());
     ASSERT_TRUE(sparse.ok());
     EXPECT_LT(rel_diff_ac(*dense, *sparse), kParityRelTol);
@@ -198,15 +205,10 @@ TEST(SimKernelParity, NoiseSweep) {
     auto op = spice::solve_op(ckt, c.dc_options(ckt));
     ASSERT_TRUE(op.ok());
 
-    spice::NoiseOptions dense_opt;
-    dense_opt.kernel = SimKernel::Dense;
-    spice::NoiseOptions sparse_opt;
-    sparse_opt.kernel = SimKernel::Sparse;
     const spice::NodeId probe = ckt.node(c.probe);
-    auto dense =
-        spice::noise_sweep(ckt, *op, probe, spice::kGround, dense_opt);
-    auto sparse =
-        spice::noise_sweep(ckt, *op, probe, spice::kGround, sparse_opt);
+    auto dense = on_dense_fallback(
+        [&] { return spice::noise_sweep(ckt, *op, probe, spice::kGround); });
+    auto sparse = spice::noise_sweep(ckt, *op, probe, spice::kGround);
     ASSERT_TRUE(dense.ok());
     ASSERT_TRUE(sparse.ok());
     EXPECT_LT(rel_diff(dense->out_psd, sparse->out_psd), kParityRelTol);
@@ -225,15 +227,13 @@ TEST(SimKernelParity, Transient) {
     auto op = spice::solve_op(ckt, c.dc_options(ckt));
     ASSERT_TRUE(op.ok());
 
-    spice::TranOptions dense_opt;
-    dense_opt.t_stop = 1e-10;
-    dense_opt.dt = 2e-12;  // 50 trapezoidal steps
-    spice::TranOptions sparse_opt = dense_opt;
-    dense_opt.kernel = SimKernel::Dense;
-    sparse_opt.kernel = SimKernel::Sparse;
+    spice::TranOptions opt;
+    opt.t_stop = 1e-10;
+    opt.dt = 2e-12;  // 50 trapezoidal steps
     const std::vector<spice::NodeId> probes = {ckt.node(c.probe)};
-    auto dense = spice::transient(ckt, *op, probes, dense_opt);
-    auto sparse = spice::transient(ckt, *op, probes, sparse_opt);
+    auto dense = on_dense_fallback(
+        [&] { return spice::transient(ckt, *op, probes, opt); });
+    auto sparse = spice::transient(ckt, *op, probes, opt);
     ASSERT_TRUE(dense.ok());
     ASSERT_TRUE(sparse.ok());
     ASSERT_EQ(dense->time.size(), sparse->time.size());
@@ -277,15 +277,13 @@ TEST(SimKernelParity, TransientWithStepStimulus) {
   auto op = spice::solve_op(ckt, dc);
   ASSERT_TRUE(op.ok());
 
-  spice::TranOptions dense_opt;
-  dense_opt.t_stop = 1e-9;
-  dense_opt.dt = 2.5e-12;  // 400 steps across the edge and settling tail
-  spice::TranOptions sparse_opt = dense_opt;
-  dense_opt.kernel = SimKernel::Dense;
-  sparse_opt.kernel = SimKernel::Sparse;
+  spice::TranOptions opt;
+  opt.t_stop = 1e-9;
+  opt.dt = 2.5e-12;  // 400 steps across the edge and settling tail
   const std::vector<spice::NodeId> probes = {ckt.node("out")};
-  auto dense = spice::transient(ckt, *op, probes, dense_opt);
-  auto sparse = spice::transient(ckt, *op, probes, sparse_opt);
+  auto dense = on_dense_fallback(
+      [&] { return spice::transient(ckt, *op, probes, opt); });
+  auto sparse = spice::transient(ckt, *op, probes, opt);
   ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(sparse.ok());
   // The waveform must actually move (step response), and the kernels agree.
@@ -472,8 +470,8 @@ TEST(KernelStats, SurfaceThroughEvalStats) {
 namespace {
 
 /// A fixed characterization workload: TIA designs one after another, each
-/// warm-started from the last (scalar DC, AC, noise and transient), and a
-/// two-stage batch (batched DC and AC).
+/// warm-started from the last (one-lane DC, AC, noise and transient), and a
+/// two-stage batch (three-lane DC and AC).
 void characterize_fixed_set() {
   const auto ptm = spice::TechCard::ptm45();
   eval::OpHint hint;
@@ -496,8 +494,7 @@ std::vector<long> stat_fields(const spice::KernelStats& s) {
   return {s.newton_iterations,      s.symbolic_factorizations,
           s.numeric_factorizations, s.dense_fallbacks,
           s.warm_start_attempts,    s.warm_start_hits,
-          s.batch_refactorizations, s.batch_lanes,
-          s.batch_lane_fallbacks};
+          s.batch_refactorizations};
 }
 
 std::vector<long> stat_delta(const std::vector<long>& before) {

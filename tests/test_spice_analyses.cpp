@@ -59,6 +59,22 @@ TEST(DcAnalysis, FloatingNodeReportsError) {
   EXPECT_FALSE(op.ok());  // singular matrix surfaced, not a NaN solution
 }
 
+TEST(DcAnalysis, NonFiniteSourceIsNonConvergence) {
+  // A NaN or infinite source makes every Newton update non-finite; that
+  // must fail the convergence test, not pass as an operating point.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    Circuit ckt;
+    const NodeId a = ckt.add_node("a");
+    ckt.add<VoltageSource>("v1", a, kGround, Waveform::constant(v));
+    ckt.add<Resistor>("r1", a, kGround, 1e3);
+    const auto op = solve_op(ckt);
+    ASSERT_FALSE(op.ok()) << v;
+    EXPECT_EQ(op.error().message, "DC operating point did not converge");
+    EXPECT_EQ(op.error().code, 1);
+  }
+}
+
 TEST(DcAnalysis, InitialGuessIsOptional) {
   Circuit ckt = make_rc(1e3, 1e-12);
   DcOptions opt;

@@ -140,11 +140,14 @@ TEST(Devices, SourceScaleScalesSources) {
   ckt.add<VoltageSource>("v1", a, kGround, Waveform::constant(2.0));
   ckt.add<Resistor>("r1", a, kGround, 1e3);
 
+  // Identity slot table: entry (r, c) of the matrix is value slot r*n + c.
   const std::size_t n = ckt.num_unknowns();
-  autockt::linalg::RealMatrix mat(n, n);
+  std::vector<int> slots(n * n);
+  for (std::size_t i = 0; i < n * n; ++i) slots[i] = static_cast<int>(i);
+  std::vector<double> mat(n * n, 0.0);
   std::vector<double> rhs(n, 0.0);
   std::vector<double> volts(ckt.num_nodes(), 0.0);
-  RealStamp ctx{mat, rhs, volts};
+  RealStamp ctx{MnaSink(slots.data(), n, mat.data()), rhs, volts};
   ctx.num_nodes = ckt.num_nodes();
   ctx.source_scale = 0.5;
   ckt.stamp_real(ctx);

@@ -175,12 +175,24 @@ TEST(Trace, CharacterizationCountsAreDeterministic) {
   EXPECT_EQ(first.at(trace::names::kEvalSimulate), 3);
   EXPECT_GT(first.at(trace::names::kSimNewtonIterations), 0);
   EXPECT_GT(first.at(trace::names::kSimSolveComplex), 0);
+  // Every design is a one-lane pass of the one kernel: each Newton
+  // iteration restamps one lane and writes one factor and one solve span,
+  // and each evaluation restamps its one lane once for AC and once for
+  // noise.
+  const long newton = first.at(trace::names::kSimNewtonIterations);
+  EXPECT_EQ(first.at(trace::names::kSimRestampReal), newton);
+  EXPECT_EQ(first.at(trace::names::kSimFactorReal), newton);
+  EXPECT_EQ(first.at(trace::names::kSimSolveReal), newton);
+  EXPECT_EQ(first.at(trace::names::kSimRestampComplex), 2 * 3);
+  EXPECT_EQ(first.at(trace::names::kSimSolveComplex),
+            first.at(trace::names::kSimFactorComplex));
 }
 
 TEST(Trace, SinglePointRunsAsOneLaneOnTheDefaultStack) {
   // The factory-default schematic stack is Cached(Function): a cache miss
-  // nests two eval/evaluate spans, and its one-lane batch runs the scalar
-  // kernel (no batched factorization).
+  // nests two eval/evaluate spans, and its one-lane batch writes four trace
+  // records per Newton iteration: the Newton and restamp counters and one
+  // factor and one solve span.
   if (!compiled_in_or_skip()) GTEST_SKIP() << "trace layer compiled out";
   RecorderGuard guard;
   const auto prob = circuits::make_tia_problem();
@@ -196,8 +208,12 @@ TEST(Trace, SinglePointRunsAsOneLaneOnTheDefaultStack) {
   EXPECT_EQ(counts[trace::names::kEvalEvaluate], 2);
   EXPECT_EQ(counts[trace::names::kEvalSimulate], 1);
   EXPECT_GT(counts[trace::names::kSimFactorComplex], 0);
-  EXPECT_EQ(counts[trace::names::kSimFactorRealBatch], 0);
-  EXPECT_EQ(counts[trace::names::kSimFactorComplexBatch], 0);
+  const long newton = counts[trace::names::kSimNewtonIterations];
+  EXPECT_GT(newton, 0);
+  EXPECT_EQ(counts[trace::names::kSimRestampReal], newton);
+  EXPECT_EQ(counts[trace::names::kSimFactorReal], newton);
+  EXPECT_EQ(counts[trace::names::kSimSolveReal], newton);
+  EXPECT_EQ(counts[trace::names::kSimDenseFallback], 0);
 }
 
 TEST(Trace, TrainingCountsAreDeterministic) {
