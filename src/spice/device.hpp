@@ -73,14 +73,25 @@ class MnaSink {
 
   void add(std::size_t row, std::size_t col, double v) {
     if (values_ != nullptr) {
-      assert(row < n_ && col < n_);
-      const int s = slots_[row * n_ + col];
-      assert(s >= 0 && "stamp outside the discovered pattern");
-      if (s < 0) return;  // release builds: drop rather than corrupt memory
-      values_[static_cast<std::size_t>(s) * stride_] += v;
+      add_at(slot(row, col), v);
     } else if (builder_ != nullptr) {
       builder_->add(row, col);
     }
+  }
+
+  /// Value slot of entry (row, col) in a slot-write sink (-1 outside the
+  /// pattern). A stamp that adds into the same entries on every pass binds
+  /// them once here and adds through add_at(), skipping the table load.
+  int slot(std::size_t row, std::size_t col) const {
+    assert(values_ != nullptr && row < n_ && col < n_);
+    return slots_[row * n_ + col];
+  }
+
+  /// add() into a slot bound by slot().
+  void add_at(int s, double v) {
+    assert(s >= 0 && "stamp outside the discovered pattern");
+    if (s < 0) return;  // release builds: drop rather than corrupt memory
+    values_[static_cast<std::size_t>(s) * stride_] += v;
   }
 
  private:
@@ -96,7 +107,10 @@ struct RealStamp {
   MnaSink a;
   LaneColumn<double> b;                 // right-hand side
   const std::vector<double>& voltages;  // candidate solution, indexed by node
-  double time = 0.0;                    // transient time; 0 for DC
+  /// Transient time; 0 for DC. A device that reads it must override
+  /// Device::stamps_constant_between, or the transient replays steps over
+  /// times where its stamp changes.
+  double time = 0.0;
   bool transient = false;               // sources: use waveform(t) vs dc()
   double gmin = 0.0;                    // Newton homotopy conductance
   double source_scale = 1.0;            // source-stepping homotopy factor
@@ -197,10 +211,9 @@ struct CapElement {
 /// One small-signal noise current source (between two nodes) with its power
 /// spectral density at the query frequency.
 struct NoiseSource {
-  NodeId n1 = kGround;   // current flows n1 -> n2
+  NodeId n1 = kGround;  // current flows n1 -> n2
   NodeId n2 = kGround;
-  double psd = 0.0;      // A^2/Hz at the queried frequency
-  std::string origin;    // device name, for reporting
+  double psd = 0.0;     // A^2/Hz at the queried frequency
 };
 
 /// Structural self-description used by the static analyzers
@@ -263,6 +276,15 @@ class Device {
 
   /// Report linear capacitances for transient companion integration.
   virtual void collect_caps(std::vector<CapElement>& /*out*/) const {}
+
+  /// True when stamp_real() stamps the same values at every transient time
+  /// in [t_a, t_b], given the same voltages. The default is right for a
+  /// device that never reads RealStamp::time; one that reads it overrides
+  /// this. The transient replays steps, without solving them, only where
+  /// every device answers true (see spice/transient.hpp).
+  virtual bool stamps_constant_between(double /*t_a*/, double /*t_b*/) const {
+    return true;
+  }
 
   /// Report noise current sources at frequency `freq`, given the operating
   /// point; used by the adjoint noise analysis.

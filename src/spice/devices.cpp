@@ -21,7 +21,7 @@ void Resistor::collect_noise(const std::vector<double>& /*op_voltages*/,
                              double /*freq*/, double temp_k,
                              std::vector<NoiseSource>& out) const {
   // Johnson-Nyquist current noise: 4kT/R, white.
-  out.push_back({n1_, n2_, 4.0 * kBoltzmann * temp_k / ohms_, name()});
+  out.push_back({n1_, n2_, 4.0 * kBoltzmann * temp_k / ohms_});
 }
 
 // --------------------------------------------------------------- Capacitor

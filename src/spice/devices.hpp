@@ -61,6 +61,9 @@ class VoltageSource : public Device {
 
   void stamp_real(RealStamp& ctx) const override;
   void stamp_complex(ComplexStamp& ctx) const override;
+  bool stamps_constant_between(double t_a, double t_b) const override {
+    return wave_.constant_between(t_a, t_b);
+  }
 
   double dc_value() const { return wave_.dc(); }
 
@@ -85,6 +88,9 @@ class CurrentSource : public Device {
 
   void stamp_real(RealStamp& ctx) const override;
   void stamp_complex(ComplexStamp& ctx) const override;
+  bool stamps_constant_between(double t_a, double t_b) const override {
+    return wave_.constant_between(t_a, t_b);
+  }
 
   DeviceTopology topology() const override {
     return {DeviceTopology::Kind::CurrentSource, {plus_, minus_}, {}};

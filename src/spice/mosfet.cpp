@@ -237,7 +237,7 @@ void Mosfet::collect_noise(const std::vector<double>& op_voltages, double freq,
   const double area = geom_.total_width() * geom_.length;
   const double flicker =
       kf_ * e.id_mag / (cox_area_ * area * std::max(freq, 1.0));
-  out.push_back({e.d_eff, e.s_eff, thermal + flicker, name()});
+  out.push_back({e.d_eff, e.s_eff, thermal + flicker});
 }
 
 MosSmallSignal Mosfet::linearize(const std::vector<double>& voltages) const {

@@ -541,6 +541,11 @@ util::Expected<ParsedNetlist> NetlistDeck::instantiate(
         if (auto it = options.find("mult"); it != options.end()) {
           auto v = parse_spice_number(it->second);
           if (!v.ok()) return err(opt_index("mult"), v.error().message);
+          if (!(*v >= 1.0 && *v <= std::numeric_limits<int>::max() &&
+                std::floor(*v) == *v)) {
+            return err(opt_index("mult"), "mult '" + it->second +
+                                              "' must be a whole number >= 1");
+          }
           geom.mult = static_cast<int>(*v);
         }
         out.circuit.add<Mosfet>(

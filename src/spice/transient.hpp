@@ -3,6 +3,14 @@
 // the devices are integrated via companion models whose state (branch
 // voltage and current history) is owned by the engine, keeping devices
 // stateless and circuit evaluation thread-safe.
+//
+// A step's state depends only on the state before it and the stamps at its
+// time. So once an accepted state equals, bit for bit, the state two steps
+// back, and every device stamps the same values over the following steps
+// (Device::stamps_constant_between), the engine records those steps as the
+// two alternating states without solving them, and resumes Newton at the
+// next step whose stamps differ (a source edge). Results are bitwise those
+// of solving every step.
 
 #include <vector>
 

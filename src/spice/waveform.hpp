@@ -47,22 +47,40 @@ struct Waveform {
     switch (kind) {
       case Kind::Constant:
         return base;
-      case Kind::Step: {
-        const double ramp = std::clamp((t - t0) / t_rise, 0.0, 1.0);
-        return base + (level - base) * ramp;
-      }
-      case Kind::Pulse: {
-        const double up = std::clamp((t - t0) / t_rise, 0.0, 1.0);
-        const double down =
-            std::clamp((t - (t0 + t_width)) / t_rise, 0.0, 1.0);
-        return base + (level - base) * (up - down);
-      }
+      case Kind::Step:
+        return base + (level - base) * edge(t, t0);
+      case Kind::Pulse:
+        return base + (level - base) *
+                          (edge(t, t0) - edge(t, t0 + t_width));
     }
     return base;
   }
 
+  /// True when value(t) is the same for every t in [t_a, t_b] (t_a <= t_b).
+  /// Each edge ramp clamp((t - start) / t_rise, 0, 1) is monotone in t, in
+  /// floating point too (rounding is monotone), so a ramp that is equal at
+  /// both ends is flat in between. A NaN ramp compares unequal.
+  bool constant_between(double t_a, double t_b) const {
+    switch (kind) {
+      case Kind::Constant:
+        return true;
+      case Kind::Step:
+        return edge(t_a, t0) == edge(t_b, t0);
+      case Kind::Pulse:
+        return edge(t_a, t0) == edge(t_b, t0) &&
+               edge(t_a, t0 + t_width) == edge(t_b, t0 + t_width);
+    }
+    return false;
+  }
+
   /// Operating-point value (time-zero; steps are at their base level).
   double dc() const { return base; }
+
+ private:
+  /// The linear ramp of an edge that starts at `start`: 0 before, 1 after.
+  double edge(double t, double start) const {
+    return std::clamp((t - start) / t_rise, 0.0, 1.0);
+  }
 };
 
 }  // namespace autockt::spice

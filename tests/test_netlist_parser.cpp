@@ -82,6 +82,29 @@ TEST(NetlistParser, NonFiniteElementValuesFailWithLineAndColumn) {
       << r.error().message;
 }
 
+TEST(NetlistParser, MultMustBeAWholeNumberInIntRange) {
+  // 1e300 once reached an unchecked cast to int (undefined behaviour), and
+  // 0 and -2 built a MOSFET with zero or negative total width.
+  for (const char* mult : {"1e300", "0", "-2", "2.5"}) {
+    const auto parsed = parse_netlist(
+        std::string("v1 d 0 1\nm1 d d 0 0 nmos w=1u mult=") + mult + "\n");
+    ASSERT_FALSE(parsed.ok()) << mult;
+    const std::string& msg = parsed.error().message;
+    EXPECT_NE(msg.find("line 2, col 22"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::string("mult '") + mult +
+                       "' must be a whole number >= 1"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(parsed.error().line, 2u);
+  }
+  const auto parsed =
+      parse_netlist("v1 d 0 1\nm1 d d 0 0 nmos w=1u mult=4\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  const auto* m1 = dynamic_cast<const Mosfet*>(parsed->circuit.find("m1"));
+  ASSERT_NE(m1, nullptr);
+  EXPECT_EQ(m1->geom().mult, 4);
+}
+
 // ---------------------------------------------------------------- decks
 
 TEST(NetlistParser, ResistorDividerSolves) {
